@@ -404,7 +404,7 @@ def _run_e19_parallel_scaleout(smoke: bool = False):
             w1 = wall
         else:
             assert report["combined_hash"] == reference["combined_hash"], (
-                f"W={w}: trace hashes diverged from W={worker_counts[0]}"
+                f"W={w}: run digests diverged from W={worker_counts[0]}"
             )
             assert digests == reference_digests, (
                 f"W={w}: final KV state diverged from W={worker_counts[0]}"

@@ -134,7 +134,7 @@ def parallel_report(report: dict, title: str = "parallel run report") -> str:
     """Render a :meth:`~repro.sim.parallel.ParallelKernel.run_report` dict.
 
     One row per cell (virtual clock, scheduler events, schedule-invariant
-    sim events, fabric traffic, trace-hash prefix) plus the aggregated
+    sim events, fabric traffic, run-digest prefix) plus the aggregated
     totals and the coordinator's barrier/worker accounting — the
     parallel-run face of :func:`run_report`.
     """
@@ -149,7 +149,7 @@ def parallel_report(report: dict, title: str = "parallel run report") -> str:
             cell["events"],
             cell["sim_events"],
             f"{cell['posted']}/{cell['injected']}",
-            cell["run_hash"][:12],
+            cell["run_digest"][:12],
         ])
     lines += [
         "",

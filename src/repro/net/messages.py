@@ -9,8 +9,10 @@ process's inbox, e.g. Cheap Quorum panic relays next to Paxos traffic).
 
 Envelopes are allocated once per message on the kernel's hot path, so they
 are a hand-written ``__slots__`` class: construction is a plain attribute
-fill, and ``msg_id`` comes from a module-level integer counter.  Treat
-instances as immutable once created.
+fill.  ``msg_id`` is assigned by the sending kernel from its own counter,
+so two replays of one scenario number their messages identically.  Treat
+instances as immutable once created, except for the network's
+``delivered`` flag.
 """
 
 from __future__ import annotations
@@ -19,13 +21,11 @@ from typing import Any
 
 from repro.types import ProcessId
 
-_next_msg_id = 0
-
 
 class Envelope:
     """One message in flight or delivered."""
 
-    __slots__ = ("src", "dst", "topic", "payload", "sent_at", "msg_id", "ctx")
+    __slots__ = ("src", "dst", "topic", "payload", "sent_at", "msg_id", "ctx", "delivered")
 
     def __init__(
         self,
@@ -34,21 +34,19 @@ class Envelope:
         topic: str,
         payload: Any,
         sent_at: float,
-        msg_id: int | None = None,
+        msg_id: Any = None,
     ) -> None:
-        global _next_msg_id
         self.src = src
         self.dst = dst
         self.topic = topic
         self.payload = payload
         self.sent_at = sent_at
-        if msg_id is None:
-            _next_msg_id += 1
-            msg_id = _next_msg_id
         self.msg_id = msg_id
         #: causal trace context riding the message (a repro.obs Span opened
         #: by the send path, closed at delivery); None when obs is detached
         self.ctx: Any = None
+        #: set by the first delivery; a second delivery of this object drops
+        self.delivered = False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -5,9 +5,10 @@ The :class:`Network` owns per-process inboxes and the set of parked
 time elapses; if a parked waiter matches, the kernel is told which task to
 wake, otherwise the envelope queues in the inbox for a later ``recv``.
 
-Duplicate-delivery protection (link integrity) is enforced with a delivered
-message-id set; the kernel never schedules the same envelope twice, so this
-guards against future transport extensions rather than current behaviour.
+Duplicate-delivery protection (link integrity) is a per-envelope
+``delivered`` flag; the kernel never schedules the same envelope twice, so
+this guards against future transport extensions rather than current
+behaviour.  A chaos duplicate is a fresh envelope and is delivered.
 """
 
 from __future__ import annotations
@@ -51,13 +52,6 @@ class RecvWaiter:
         self.wake = wake
         self.task = task
 
-    def accepts(self, env: Envelope) -> bool:
-        if self.topic is not None and env.topic != self.topic:
-            return False
-        if self.match is not None and not self.match(env):
-            return False
-        return True
-
 
 class Network:
     """Per-process inboxes plus parked receivers.
@@ -81,7 +75,6 @@ class Network:
         self.waiters: Dict[ProcessId, List[RecvWaiter]] = {
             ProcessId(p): [] for p in range(n_processes)
         }
-        self._delivered_ids: Set[int] = set()
         self.dropped: int = 0
         #: (src, dst) pairs currently severed by a partition
         self.blocked: Set[tuple] = set()
@@ -101,10 +94,10 @@ class Network:
         When a waiter matches, the envelope is handed to it directly and
         never enters the inbox (exactly-once consumption).
         """
-        if env.msg_id in self._delivered_ids:
+        if env.delivered:
             self.dropped += 1
             return None
-        self._delivered_ids.add(env.msg_id)
+        env.delivered = True
         waiters = self.waiters[env.dst]
         if waiters:
             topic = env.topic

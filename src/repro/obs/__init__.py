@@ -1,4 +1,6 @@
-"""repro.obs — causal tracing, metrics registry, profiling, flight recorder.
+"""repro.obs — the kernel's one telemetry plane: causal tracing, metrics
+registry, profiling, flight recorder, and :func:`run_digest`, the one
+identity of a run.
 
 Quickstart::
 
@@ -26,6 +28,7 @@ from repro.obs.diff import (
     format_critical_delta,
     span_identities,
 )
+from repro.obs.digest import run_digest
 from repro.obs.flight import FlightRecorder
 from repro.obs.profiler import TaskProfiler
 from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
@@ -46,7 +49,6 @@ from repro.obs.whatif import (
     measure,
     memory_experiment,
     phase_experiment,
-    run_hash,
 )
 from repro.obs.spans import (
     K_MEMOP,
@@ -85,7 +87,7 @@ __all__ = [
     "measure",
     "memory_experiment",
     "phase_experiment",
-    "run_hash",
+    "run_digest",
     "FlightRecorder",
     "TaskProfiler",
     "Counter",

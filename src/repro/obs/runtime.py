@@ -2,12 +2,14 @@
 
 An :class:`ObsRuntime` is *attached* to a kernel (:func:`attach`); until
 then ``kernel.obs`` is ``None`` and every kernel-side hook is one
-attribute load and one branch — the same zero-cost contract as
-``tracer.enabled``.  Attached, the runtime receives the kernel's
-causal hook calls and turns them into the span tree:
+attribute load and one branch.  This is the kernel's only telemetry
+plane: a test or tool that needs an event log attaches a runtime before
+the run and reads its spans.  Attached, the runtime receives the
+kernel's causal hook calls and turns them into the span tree:
 
-* every task gets a ``task`` span; spawned tasks parent under the
-  spawner's current context;
+* every task gets a ``task`` span (spawn to completion, or to the crash
+  that killed it); spawned tasks parent under the spawner's current
+  context;
 * every message gets a ``msg`` span riding the envelope (``env.ctx``);
   delivery closes it, and the receiving task *adopts* the message span as
   its context — the cross-process causal hop;

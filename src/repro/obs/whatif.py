@@ -26,7 +26,7 @@ Override rules target the units of the paper's cost model:
 
 :class:`WhatIfProfiler` drives scenarios, extracts a
 :class:`Measurement` per run (decision delays, commit p50/p99,
-throughput, critical-path recomposition, trace hash), and
+throughput, critical-path recomposition, run digest), and
 :meth:`WhatIfProfiler.rank` is the greedy top-k bottleneck driver: each
 round it measures every remaining candidate *stacked on the winners so
 far* and keeps the one with the largest measured improvement — ranking
@@ -40,7 +40,6 @@ fused-chain implementation measures.
 
 from __future__ import annotations
 
-import hashlib
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -48,6 +47,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from repro.errors import ConfigurationError, WhatIfDivergence
 from repro.metrics.reporting import format_table
 from repro.metrics.workload import percentile
+from repro.obs.digest import run_digest
 from repro.sim.latency import LatencyModel, NominalLatency
 
 
@@ -313,68 +313,6 @@ def issue_experiment(factor: float, name: Optional[str] = None) -> Experiment:
     return Experiment(name or "wr-issue", (ScaleIssue(factor),))
 
 
-def run_hash(kernel) -> str:
-    """Deterministic identity of a finished run.
-
-    Hashes the span tree (ids, parents, names, exact virtual times and
-    attrs) when an obs runtime is attached, the tracer's event log when
-    tracing is on, and always the ledger's decisions/counters plus the
-    kernel's event-queue totals — two replays of the same scenario must
-    agree on every one of these.
-    """
-    digest = hashlib.sha256()
-    obs = kernel.obs
-    if obs is not None:
-        for span in list(obs.finished) + obs.open_spans():
-            # msg_id is allocated from a process-global counter (see
-            # repro.net.messages), so it differs between two replays in
-            # the same interpreter; everything else must match exactly.
-            attrs = () if span.attrs is None else tuple(
-                sorted(
-                    (kv for kv in span.attrs.items() if kv[0] != "msg_id"),
-                    key=lambda kv: kv[0],
-                )
-            )
-            digest.update(
-                repr(
-                    (
-                        span.span_id,
-                        span.parent_id,
-                        span.trace_id,
-                        span.name,
-                        span.kind,
-                        span.actor,
-                        span.start,
-                        span.end,
-                        attrs,
-                    )
-                ).encode()
-            )
-    for event in kernel.tracer.events:
-        digest.update(str(event).encode())
-    ledger = kernel.metrics
-    for pid in sorted(ledger.decisions):
-        record = ledger.decisions[pid]
-        digest.update(f"D p{int(pid)} {record.value!r} @{record.decided_at}".encode())
-    for instance, book in sorted(
-        ledger.instance_decisions.items(), key=lambda kv: repr(kv[0])
-    ):
-        for pid in sorted(book):
-            record = book[pid]
-            digest.update(
-                f"I {instance!r} p{int(pid)} {record.value!r} @{record.decided_at}".encode()
-            )
-    digest.update(
-        (
-            f"msgs={sorted(ledger.messages_sent.items())} "
-            f"ops={sorted(ledger.mem_ops.items())} "
-            f"pushed={kernel.queue.pushed} popped={kernel.queue.popped} "
-            f"now={kernel.now}"
-        ).encode()
-    )
-    return digest.hexdigest()
-
-
 @dataclass
 class Measurement:
     """End-to-end numbers extracted from one finished run."""
@@ -388,7 +326,8 @@ class Measurement:
     throughput: float = 0.0
     latency_p50: Optional[float] = None
     latency_p99: Optional[float] = None
-    trace_hash: str = ""
+    #: :func:`~repro.obs.digest.run_digest` of the run
+    digest: str = ""
     #: critical-path recomposition of the earliest decision, when traced:
     #: phase name -> {"msg": .., "mem": .., "queue": ..}
     phase_delays: Optional[Dict[str, Dict[str, float]]] = None
@@ -437,7 +376,7 @@ def measure(kernel) -> Measurement:
         throughput=1000.0 * commits / now if now > 0 else 0.0,
         latency_p50=percentile(samples, 0.50) if samples else None,
         latency_p99=percentile(samples, 0.99) if samples else None,
-        trace_hash=run_hash(kernel),
+        digest=run_digest(kernel),
     )
     obs = kernel.obs
     if obs is not None and delays:
@@ -612,11 +551,11 @@ class WhatIfProfiler:
         kernel = build()
         measurement = measure(kernel)
         if self.check_determinism:
-            replay_hash = measure(build()).trace_hash
-            if replay_hash != measurement.trace_hash:
+            replayed = measure(build()).digest
+            if replayed != measurement.digest:
                 raise WhatIfDivergence(
                     f"experiment {name!r} diverged on replay: "
-                    f"{measurement.trace_hash[:16]} != {replay_hash[:16]} — "
+                    f"{measurement.digest[:16]} != {replayed[:16]} — "
                     "the scenario closure is not rebuilding identically"
                 )
         return WhatIfRun(name, kernel, measurement)

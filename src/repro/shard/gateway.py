@@ -144,7 +144,7 @@ def spawn_gateway(service, port, pid: int = 0) -> Dict[str, Any]:
 def kv_state_digest(service) -> str:
     """Deterministic digest of the service's final committed KV state
     (per-shard leader snapshots, sorted) — what the cross-worker
-    determinism contract compares beyond trace hashes."""
+    determinism contract compares beyond run digests."""
     import hashlib
 
     digest = hashlib.sha256()

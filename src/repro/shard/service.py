@@ -69,7 +69,6 @@ class ShardConfig:
     seed: int = 0
     latency: LatencyModel = field(default_factory=NominalLatency)
     deadline: float = 50_000.0
-    trace: bool = False
     #: client resend interval; dedup makes resends idempotent
     retry_timeout: float = 200.0
     #: how often an idle shard leader re-checks its request queue
@@ -332,7 +331,6 @@ class ShardedKV:
                 n_memories=cfg.n_memories,
                 latency=cfg.latency,
                 seed=cfg.seed,
-                trace=cfg.trace,
                 deadline=cfg.deadline,
             ),
             regions,

@@ -32,7 +32,6 @@ from repro.sim.latency import (
     NominalLatency,
     PartialSynchrony,
 )
-from repro.sim.tracing import TraceEvent, Tracer
 
 __all__ = [
     "AdversarialLatency",
@@ -55,7 +54,5 @@ __all__ = [
     "SleepEffect",
     "SpawnEffect",
     "Task",
-    "TraceEvent",
-    "Tracer",
     "WaitEffect",
 ]

@@ -18,18 +18,13 @@ from typing import Any, Callable, List, Optional, Tuple
 
 from repro.types import OpResult
 
-_next_future_id = 0
-
 
 class OpFuture:
     """Completion handle for one invoked memory operation."""
 
-    __slots__ = ("future_id", "op", "mid", "pid", "done", "result", "_waiters")
+    __slots__ = ("op", "mid", "pid", "done", "result", "_waiters")
 
     def __init__(self, pid, mid, op) -> None:
-        global _next_future_id
-        _next_future_id += 1
-        self.future_id = _next_future_id
         self.pid = pid
         self.mid = mid
         self.op = op
@@ -64,7 +59,7 @@ class OpFuture:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = f"done={self.result!r}" if self.done else "pending"
-        return f"<OpFuture#{self.future_id} mu{int(self.mid)+1} {state}>"
+        return f"<OpFuture mu{int(self.mid)+1} {state}>"
 
 
 class FanoutState:

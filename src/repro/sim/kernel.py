@@ -49,13 +49,14 @@ closures:
 * a task woken at the current instant (message delivered, quorum reached,
   gate signalled) is resumed through the queue's *ready lane* rather than
   a second heap round-trip;
-* tracing and metrics are guarded by ``tracer.enabled`` before any label
-  or kwargs are built, and the nominal latency model's constant delays are
-  cached so the common case skips per-message method dispatch;
-* the causal observability layer (:mod:`repro.obs`) hooks the same points
-  behind ``self.obs is not None`` — detached (the default), every hook is
-  one attribute load and one branch; attached, spans ride envelopes
-  (``env.ctx``) and memory-op completion tokens across the scheduler.
+* the nominal latency model's constant delays are cached so the common
+  case skips per-message method dispatch;
+* the causal observability layer (:mod:`repro.obs`) is the kernel's one
+  telemetry plane: each action has a single hook behind
+  ``self.obs is not None`` — detached (the default), that is one
+  attribute load and one branch; attached, spans ride envelopes
+  (``env.ctx``) and memory-op completion tokens across the scheduler, and
+  an event log of the run is read off the spans (``repro.obs.attach``).
 """
 
 from __future__ import annotations
@@ -101,7 +102,6 @@ from repro.sim.event_queue import (
 from repro.sim.faults import FailureController
 from repro.sim.futures import FanoutState, OpFuture
 from repro.sim.latency import LatencyModel, NominalLatency
-from repro.sim.tracing import Tracer
 from repro.types import MemoryId, ProcessId, memory_name, process_name
 
 #: Ω failure-detector oracle: maps virtual time to the current leader pid.
@@ -119,7 +119,6 @@ class SimConfig:
     n_memories: int = 0
     latency: LatencyModel = field(default_factory=NominalLatency)
     seed: int = 0
-    trace: bool = False
     strict_safety: bool = True
     #: enforce the model's one-outstanding-op-per-memory rule per task
     strict_outstanding: bool = False
@@ -201,7 +200,6 @@ class Kernel:
         self.now = 0.0
         self.queue = EventQueue()
         self.rng = random.Random(config.seed)
-        self.tracer = Tracer(enabled=config.trace)
         #: attached observability runtime (repro.obs), or None — the
         #: zero-cost default every hook below checks first
         self.obs: Optional[Any] = None
@@ -220,6 +218,8 @@ class Kernel:
         self.byzantine_processes: Set[ProcessId] = set()
         self.tasks: List[Task] = []
         self._next_task_id = 0
+        #: per-kernel message ids: replays in one interpreter agree on them
+        self._next_msg_id = 0
         self.omega: OmegaFn = config.omega or (lambda now: 0)
         # Constant delays of the latency model, or None when the model is
         # dynamic.  NominalLatency declares all three as 1.0, letting the
@@ -303,8 +303,6 @@ class Kernel:
         self._next_task_id += 1
         task = Task(self._next_task_id, ProcessId(pid), name, gen, daemon, ctx)
         self.tasks.append(task)
-        if self.tracer.enabled:
-            self.tracer.record(self.now, "spawn", task.label)
         if self.obs is not None:
             self.obs.task_spawned(task)
         self.queue.push(self.now, EV_RESUME, task, None)
@@ -375,7 +373,6 @@ class Kernel:
                 if obs is not None:
                     obs.task_killed(task, self.now)
         self.network.drop_process(pid)
-        self.tracer.record(self.now, "crash_proc", process_name(pid))
         self.metrics.record_fault(self.now, "crash_proc", process_name(pid))
         self.failures.notify_crash(pid)
 
@@ -387,7 +384,6 @@ class Kernel:
         if pid not in self.crashed_processes:
             return
         self.crashed_processes.discard(pid)
-        self.tracer.record(self.now, "recover_proc", process_name(pid))
         self.metrics.record_fault(self.now, "recover_proc", process_name(pid))
         self.failures.notify_recover(pid)
 
@@ -396,7 +392,6 @@ class Kernel:
         memory = self.memories[mid]
         if not memory.crashed:
             memory.crash()
-            self.tracer.record(self.now, "crash_mem", memory_name(mid))
             self.metrics.record_fault(self.now, "crash_mem", memory_name(mid))
 
     def recover_memory(self, mid: MemoryId, wipe: bool = False) -> None:
@@ -404,7 +399,6 @@ class Kernel:
         memory = self.memories[mid]
         if memory.crashed:
             memory.recover(wipe=wipe)
-            self.tracer.record(self.now, "recover_mem", memory_name(mid), wipe=wipe)
             self.metrics.record_fault(
                 self.now, "recover_mem", memory_name(mid), wipe=wipe
             )
@@ -654,8 +648,6 @@ class Kernel:
         is down and the op must hang."""
         memory = self.memories[mid]
         if memory.crashed:
-            if self.tracer.enabled:
-                self.tracer.record(self.now, "mem_drop", memory_name(mid))
             return None, None
         result = memory.apply(pid, op)
         resp = self._resp_delay
@@ -667,14 +659,6 @@ class Kernel:
         """Shared response-leg bookkeeping of both memory-op paths."""
         if self.config.strict_outstanding:
             task.outstanding[mid] = max(0, task.outstanding.get(mid, 1) - 1)
-        if self.tracer.enabled:
-            self.tracer.record(
-                self.now,
-                "op_result",
-                task.label,
-                mem=memory_name(mid),
-                status=result.status.value,
-            )
 
     def _ev_arrive(self, task, future, _c) -> None:
         result, resp = self._memory_apply_leg(future.pid, future.mid, future.op)
@@ -766,8 +750,6 @@ class Kernel:
             except StopIteration as stop:
                 task.done = True
                 task.result = stop.value
-                if self.tracer.enabled:
-                    self.tracer.record(self.now, "task_done", task.label, result=stop.value)
                 if obs is not None:
                     obs.exit_task(task, self.now)
                 return
@@ -814,7 +796,10 @@ class Kernel:
                 f"{task.label} sent a message in the link-free disk model"
             )
         dst = effect.dst
-        env = Envelope(task.pid, dst, effect.topic, effect.payload, self.now)
+        self._next_msg_id += 1
+        env = Envelope(
+            task.pid, dst, effect.topic, effect.payload, self.now, self._next_msg_id
+        )
         if self.obs is not None:
             # The open msg span rides the envelope; delivery closes it and
             # the receiver adopts it as its causal context.
@@ -823,26 +808,22 @@ class Kernel:
         delay = self._msg_delay
         if delay is None:
             delay = self.config.latency.message_delay(task.pid, dst, self.now, self.rng)
-        if self.tracer.enabled:
-            self.tracer.record(
-                self.now, "send", task.label, dst=process_name(dst), topic=effect.topic
-            )
         network = self.network
         if network.link_faults:
             fault = network.link_faults.get((task.pid, dst))
             if fault is not None:
                 if fault.drop_prob and self.rng.random() < fault.drop_prob:
                     network.chaos_dropped += 1
-                    if self.tracer.enabled:
-                        self.tracer.record(
-                            self.now, "chaos_drop", task.label, dst=process_name(dst)
-                        )
                     return None  # the send completes; the message is lost
                 delay = delay * fault.delay_factor + fault.extra_delay
                 if fault.duplicate_prob and self.rng.random() < fault.duplicate_prob:
                     # A fresh envelope (new msg id): the duplicate must pass
                     # the network's exactly-once guard to test idempotence.
-                    twin = Envelope(task.pid, dst, effect.topic, effect.payload, self.now)
+                    self._next_msg_id += 1
+                    twin = Envelope(
+                        task.pid, dst, effect.topic, effect.payload, self.now,
+                        self._next_msg_id,
+                    )
                     self.queue.push(self.now + delay + 1.0, EV_DELIVER, twin)
         self.queue.push(self.now + delay, EV_DELIVER, env)
         return None
@@ -856,17 +837,7 @@ class Kernel:
             # message sent before the partition but landing during it is
             # lost, exactly like a packet on a just-severed link.
             self.network.partition_dropped += 1
-            if self.tracer.enabled:
-                self.tracer.record(
-                    self.now, "partition_drop", process_name(env.dst),
-                    src=process_name(env.src), topic=env.topic,
-                )
             return
-        if self.tracer.enabled:
-            self.tracer.record(
-                self.now, "deliver", process_name(env.dst),
-                src=process_name(env.src), topic=env.topic,
-            )
         obs = self.obs
         if obs is not None and env.ctx is not None:
             obs.msg_delivered(env, self.now)
@@ -892,7 +863,7 @@ class Kernel:
     def _op_request_leg(self, task: Task, mid, op) -> float:
         """Shared request leg of both memory-op paths: validate the target,
         enforce the one-outstanding rule (strict mode only — the permissive
-        default skips the dict traffic entirely), count and trace the op.
+        default skips the dict traffic entirely) and count the op.
         Returns the request delay."""
         if mid >= len(self.memories):
             raise SimulationError(f"no such memory mu{int(mid) + 1}")
@@ -925,10 +896,6 @@ class Kernel:
                 latency = self.config.latency
                 for _ in op.ops:
                     req += latency.memory_issue_delay(pid, mid, self.now, self.rng)
-        if self.tracer.enabled:
-            self.tracer.record(
-                self.now, "invoke", task.label, mem=memory_name(mid), op=type(op).__name__
-            )
         return req
 
     def _fx_invoke(self, task: Task, effect: InvokeEffect) -> OpFuture:

@@ -152,10 +152,8 @@ def inject_entry(kernel, entry: Tuple) -> None:
     failure plane only ever severs ``(src, dst)`` pairs with
     ``src != dst``, so a self-sourced envelope can never be dropped by a
     partition the destination cell happens to be simulating.  The
-    ``msg_id`` tuple is globally unique per channel sequence, so the
-    network's duplicate-delivery guard accepts it; it never feeds trace
-    hashes (see ``repro.obs.whatif.run_hash``), keeping determinism
-    independent of allocation order.
+    ``msg_id`` tuple names the channel and its sequence number, so it is
+    a pure function of the cell executions, whatever the worker layout.
     """
     arrival, src_cell, dst_cell, seq, dst_pid, topic, payload, sent_at = entry
     envelope = Envelope(
@@ -608,7 +606,7 @@ class ParallelKernel:
 
 def cell_summary(cell: Cell) -> Dict[str, Any]:
     """The picklable per-cell digest the determinism contract compares."""
-    from repro.obs.whatif import run_hash
+    from repro.obs.digest import run_digest
 
     kernel = cell.kernel
     metrics = kernel.metrics
@@ -623,16 +621,16 @@ def cell_summary(cell: Cell) -> Dict[str, Any]:
         "sim_events": messages + op_legs,
         "injected": kernel.network.injected,
         "posted": 0 if cell.port is None else cell.port.posted,
-        "run_hash": run_hash(kernel),
+        "run_digest": run_digest(kernel),
         "summary": None if cell.summarize is None else cell.summarize(),
     }
 
 
 def combined_hash(summaries: Dict[int, Dict[str, Any]]) -> str:
-    """One hash over every cell's ``run_hash``, in cell-id order."""
+    """One hash over every cell's ``run_digest``, in cell-id order."""
     import hashlib
 
     digest = hashlib.sha256()
     for cell_id in sorted(summaries):
-        digest.update(f"{cell_id}:{summaries[cell_id]['run_hash']};".encode())
+        digest.update(f"{cell_id}:{summaries[cell_id]['run_digest']};".encode())
     return digest.hexdigest()

@@ -19,7 +19,7 @@ The contract is deliberately tiny:
   instant instead of firing an entry (a crash/recover/revocation choice
   point);
 * :class:`FifoScheduler` always returns 0, which reproduces the default
-  loop's order bit-for-bit (asserted by trace-hash tests): the frontier
+  loop's order bit-for-bit (asserted by run-digest tests): the frontier
   lists ready entries before same-instant heap entries, both in seq order.
 
 Nothing here is imported on the default path; the hook costs one
@@ -154,7 +154,7 @@ class FifoScheduler(Scheduler):
     """The default order, made explicit: always fire ``frontier[0]``.
 
     Exists to pin the equivalence contract: a run under ``FifoScheduler``
-    must be bit-for-bit identical (trace hash, counters, final time) to a
+    must be bit-for-bit identical (run digest, counters, final time) to a
     run with ``kernel.scheduler is None``.
     """
 

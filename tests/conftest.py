@@ -58,7 +58,7 @@ def pytest_addoption(parser):
         default=0,
         metavar="N",
         help=(
-            "rerun the trace-hash determinism checks of "
+            "rerun the run-digest determinism checks of "
             "test_fault_properties.py / test_read_properties.py across N "
             "seeds in one process (0 = off; the sweep tests skip)"
         ),

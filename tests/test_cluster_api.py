@@ -10,6 +10,7 @@ from repro import (
 )
 from repro.core.cluster import Cluster, ClusterConfig, RunResult
 from repro.errors import ConfigurationError
+from repro.obs import attach
 
 
 class TestRunConsensus:
@@ -70,8 +71,12 @@ class TestRunConsensus:
         assert result.all_decided
 
     def test_trace_flag_enables_tracing(self):
-        result = run_consensus(ProtectedMemoryPaxos(), 3, 3, trace=True)
-        assert result.kernel.tracer.events
+        # The event log of a run is the span list of an attached runtime.
+        cluster = Cluster(ProtectedMemoryPaxos(), ClusterConfig(3, 3))
+        runtime = attach(cluster.kernel)
+        result = cluster.run(["a", "b", "c"])
+        assert result.all_decided
+        assert {s.name for s in runtime.spans} >= {"propose", "decide"}
 
 
 class TestClusterConfigValidation:

@@ -3,13 +3,14 @@
 The PR 2 kernel overhaul (typed queue entries, dispatch tables, ready-lane
 wakes, direct resumes) must not cost reproducibility: two runs of the same
 seed must produce byte-identical schedules.  These tests replay a mixed
-crash + Byzantine sharded workload twice and compare a hash over the FULL
-execution — every trace event, every decision, all message/op counters —
-plus the exact committed state.
+crash + Byzantine sharded workload twice and compare the run digest over
+the FULL execution — every span, every decision, all message/op counters
+— plus the exact committed state.
 """
 
-import hashlib
-
+from repro.consensus.protected_memory_paxos import ProtectedMemoryPaxos
+from repro.core.cluster import Cluster, ClusterConfig
+from repro.obs import K_MSG, attach, run_digest
 from repro.shard import (
     ClosedLoopClient,
     ShardConfig,
@@ -26,8 +27,8 @@ OPS_PER_CLIENT = 4
 
 def _run_mixed(seed: int, scheduler=None):
     """One sharded run: 3 PMP shards + 1 Byzantine (Fast & Robust) shard,
-    with a memory crash injected mid-run.  Tracing on, so the returned
-    service carries the complete event log.  *scheduler* optionally runs
+    with a memory crash injected mid-run.  Obs attached, so the returned
+    service's kernel carries every span.  *scheduler* optionally runs
     the whole workload through the pluggable-scheduler path (the parity
     tests in test_schedule.py assert it changes nothing)."""
     service = ShardedKV(
@@ -35,13 +36,13 @@ def _run_mixed(seed: int, scheduler=None):
             n_shards=4,
             batch_max=4,
             seed=seed,
-            trace=True,
             bft_shards=(3,),
             bft_max_slots=16,
             deadline=100_000.0,
         )
     )
     service.kernel.scheduler = scheduler
+    attach(service.kernel)
     # Crash one of the three memories mid-run: quorums of 2 still carry
     # every shard, and the crash lands in the schedule deterministically.
     service.kernel.call_at(40.0, lambda: service.kernel.crash_memory(MemoryId(2)))
@@ -53,33 +54,6 @@ def _run_mixed(seed: int, scheduler=None):
     ]
     report = service.run_workload(clients)
     return service, report
-
-
-def _trace_hash(service) -> str:
-    """Hash the full schedule: every trace event in order, all decisions,
-    and the end-of-run counters."""
-    kernel = service.kernel
-    digest = hashlib.sha256()
-    for event in kernel.tracer.events:
-        digest.update(str(event).encode())
-        digest.update(b"\n")
-    for instance, book in sorted(
-        kernel.metrics.instance_decisions.items(), key=lambda kv: repr(kv[0])
-    ):
-        for pid in sorted(book):
-            record = book[pid]
-            digest.update(
-                f"D {instance!r} p{int(pid)} {record.value!r} @{record.decided_at}".encode()
-            )
-    digest.update(
-        (
-            f"msgs={sorted(kernel.metrics.messages_sent.items())} "
-            f"ops={sorted(kernel.metrics.mem_ops.items())} "
-            f"pushed={kernel.queue.pushed} popped={kernel.queue.popped} "
-            f"now={kernel.now}"
-        ).encode()
-    )
-    return digest.hexdigest()
 
 
 def _state_fingerprint(service) -> tuple:
@@ -103,7 +77,7 @@ class TestSeedReplay:
         assert first_report.completed_requests == N_CLIENTS * OPS_PER_CLIENT
         assert first_report.completed_requests == second_report.completed_requests
         assert first_report.elapsed == second_report.elapsed
-        assert _trace_hash(first_service) == _trace_hash(second_service)
+        assert run_digest(first_service.kernel) == run_digest(second_service.kernel)
         assert _state_fingerprint(first_service) == _state_fingerprint(second_service)
 
     def test_identical_decision_values_and_counters(self):
@@ -131,9 +105,26 @@ class TestSeedReplay:
         # and the whole schedule with them.
         first_service, _ = _run_mixed(seed=1)
         second_service, _ = _run_mixed(seed=2)
-        assert _trace_hash(first_service) != _trace_hash(second_service)
+        assert run_digest(first_service.kernel) != run_digest(second_service.kernel)
 
     def test_trace_not_truncated(self):
-        # The hash covers the FULL schedule only if the tracer kept it all.
+        # The digest covers the FULL schedule only if obs kept every span.
         service, _ = _run_mixed(seed=1234)
-        assert not service.kernel.tracer.truncated
+        assert service.kernel.obs.dropped == 0
+
+    def test_msg_ids_replay_within_one_interpreter(self):
+        """Message ids come from each kernel's own counter, so two replays
+        in one interpreter number their messages identically and the
+        digest can hash them."""
+
+        def replay():
+            cluster = Cluster(ProtectedMemoryPaxos(), ClusterConfig(3, 3))
+            runtime = attach(cluster.kernel)
+            cluster.run(["a", "b", "c"])
+            ids = [s.attrs["msg_id"] for s in runtime.spans if s.kind == K_MSG]
+            return ids, run_digest(cluster.kernel)
+
+        first_ids, first_digest = replay()
+        second_ids, second_digest = replay()
+        assert first_ids and first_ids == second_ids
+        assert first_digest == second_digest

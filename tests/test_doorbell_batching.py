@@ -10,8 +10,6 @@ two delays.  The fan-out contract (``OpFanoutEffect`` +
 ``sim.futures.FanoutState``): one posted effect, one wake at the verdict.
 """
 
-import hashlib
-
 import pytest
 
 from repro.errors import PermissionError_
@@ -24,6 +22,7 @@ from repro.mem.operations import (
 )
 from repro.mem.permissions import Permission, exclusive_grab_policy
 from repro.mem.regions import RegionSpec
+from repro.obs import attach, run_digest
 from repro.rdma.protection_domain import ProtectionDomain
 from repro.rdma.verbs import RdmaNic
 from repro.types import ChainAbort, MemoryId, ProcessId, is_bottom
@@ -331,7 +330,7 @@ class TestWrBatchFacade:
 
 
 class TestBatchedChaosDeterminism:
-    """Trace-hash determinism of a batched quorum-read chaos run: the
+    """Run-digest determinism of a batched quorum-read chaos run: the
     fused chains and single-completion fan-outs must land in the schedule
     as reproducibly as the per-op paths they replaced."""
 
@@ -344,11 +343,11 @@ class TestBatchedChaosDeterminism:
                 n_shards=2,
                 batch_max=4,
                 seed=seed,
-                trace=True,
                 read_mode="quorum",
                 deadline=100_000.0,
             )
         )
+        attach(service.kernel)
         service.kernel.call_at(
             40.0, lambda: service.kernel.crash_memory(MemoryId(2))
         )
@@ -361,25 +360,12 @@ class TestBatchedChaosDeterminism:
         report = service.run_workload(clients)
         return service, report
 
-    def _hash(self, service) -> str:
-        kernel = service.kernel
-        digest = hashlib.sha256()
-        for event in kernel.tracer.events:
-            digest.update(str(event).encode())
-        digest.update(
-            (
-                f"ops={sorted(kernel.metrics.mem_ops.items())} "
-                f"pushed={kernel.queue.pushed} now={kernel.now}"
-            ).encode()
-        )
-        return digest.hexdigest()
-
     def test_same_seed_same_schedule(self):
         first, first_report = self._run(seed=42)
         second, second_report = self._run(seed=42)
         assert first_report.completed_requests == 24
         assert first_report.completed_requests == second_report.completed_requests
-        assert self._hash(first) == self._hash(second)
+        assert run_digest(first.kernel) == run_digest(second.kernel)
 
     def test_batched_and_classic_reach_the_same_state(self):
         """batch_chains is a mechanism switch, not a behaviour switch: the

@@ -7,10 +7,8 @@ Two families:
   event-driven timeline must never open a safety hole the static plans
   did not have;
 * a run containing partition + heal + crash + recovery events replays
-  byte-identically from its seed (trace hash over the full schedule).
+  byte-identically from its seed (run digest over the full schedule).
 """
-
-import hashlib
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -24,6 +22,7 @@ from repro import (
 )
 from repro.consensus.omega import crash_aware_omega
 from repro.core.cluster import Cluster, ClusterConfig
+from repro.obs import attach, run_digest
 
 _PROPERTY_SETTINGS = settings(
     max_examples=10,
@@ -117,7 +116,7 @@ class TestCrashOnlyScriptsPreserveSafety:
 
 def _chaos_cluster(seed: int) -> Cluster:
     """One churn-heavy cluster: partition + heal + crash + recover + link
-    chaos, tracing on."""
+    chaos, obs attached."""
     script = FaultScript()
     script.at(1.0).crash_process(0).recover(at=30.0)
     script.at(2.0).partition({0, 1}, {2}).heal(at=25.0)
@@ -125,60 +124,39 @@ def _chaos_cluster(seed: int) -> Cluster:
     script.at(4.0).duplicate_link(1, 0, prob=0.5, until=22.0)
     cluster = Cluster(
         ProtectedMemoryPaxos(),
-        ClusterConfig(3, 3, seed=seed, trace=True, deadline=60_000),
+        ClusterConfig(3, 3, seed=seed, deadline=60_000),
         script,
     )
     cluster.kernel.omega = crash_aware_omega(cluster.kernel)
+    attach(cluster.kernel)
     return cluster
 
 
-def _run_hash(seed: int) -> str:
+def _run_digest(seed: int) -> str:
     cluster = _chaos_cluster(seed)
     result = cluster.run(["a", "b", "c"])
     assert result.all_decided and result.agreed
-    kernel = cluster.kernel
-    digest = hashlib.sha256()
-    for event in kernel.tracer.events:
-        digest.update(str(event).encode())
-        digest.update(b"\n")
-    for record in kernel.metrics.fault_timeline:
-        digest.update(
-            f"F {record.time} {record.kind} {record.subject} {sorted(record.detail.items())}".encode()
-        )
-    for pid in sorted(kernel.metrics.decisions):
-        decision = kernel.metrics.decisions[pid]
-        digest.update(f"D p{int(pid)} {decision.value!r} @{decision.decided_at}".encode())
-    digest.update(
-        (
-            f"msgs={sorted(kernel.metrics.messages_sent.items())} "
-            f"ops={sorted(kernel.metrics.mem_ops.items())} "
-            f"pdrop={kernel.network.partition_dropped} "
-            f"cdrop={kernel.network.chaos_dropped} "
-            f"pushed={kernel.queue.pushed} popped={kernel.queue.popped} "
-            f"now={kernel.now}"
-        ).encode()
-    )
-    return digest.hexdigest()
+    return run_digest(cluster.kernel)
 
 
 class TestChaosDeterminism:
     def test_partition_heal_recovery_replays_identically(self):
         """Same seed, same chaos script -> byte-identical schedule."""
-        assert _run_hash(11) == _run_hash(11)
+        assert _run_digest(11) == _run_digest(11)
 
     def test_different_seeds_diverge(self):
         """The hash is sensitive enough to see the seed at all."""
-        assert _run_hash(11) != _run_hash(12)
+        assert _run_digest(11) != _run_digest(12)
 
     def test_seed_sweep(self, seed_sweep):
         """Replay determinism across many seeds (off by default).
 
         Enable with ``pytest --seed-sweep N``: reruns the chaos-cluster
-        trace-hash check for seeds ``0..N-1`` in one process — the cheap
+        run-digest check for seeds ``0..N-1`` in one process — the cheap
         way to widen determinism coverage before a release or in the
         nightly tier-2 run.
         """
         if not seed_sweep:
             pytest.skip("enable with --seed-sweep N")
         for seed in range(seed_sweep):
-            assert _run_hash(seed) == _run_hash(seed), f"seed {seed} diverged"
+            assert _run_digest(seed) == _run_digest(seed), f"seed {seed} diverged"

@@ -47,9 +47,6 @@ class TestOpFuture:
         assert count_done(tuple(futures)) == 2
         assert count_acked(tuple(futures)) == 1
 
-    def test_unique_ids(self):
-        assert _future().future_id != _future().future_id
-
 
 class TestGate:
     def test_set_wakes_current_waiters(self):

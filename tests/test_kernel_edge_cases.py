@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.mem.operations import ReadOp
+from repro.obs import K_MEMOP, K_MSG, K_TASK, attach
 from repro.sim.kernel import Kernel, SimConfig
 from repro.types import MemoryId, ProcessId
 
@@ -155,7 +156,8 @@ class TestMetricsPlumbing:
         assert kernel.metrics.mem_ops[(ProcessId(0), "ReadOp")] == 1
 
     def test_trace_records_lifecycle(self):
-        kernel = make_kernel(trace=True)
+        kernel = make_kernel()
+        runtime = attach(kernel)
         env = env_of(kernel, 0)
 
         def gen():
@@ -163,5 +165,10 @@ class TestMetricsPlumbing:
             yield from env.write(0, "r", ("x", "k"), 1)
 
         run_single(kernel, 0, gen())
-        kinds = {e.kind for e in kernel.tracer.events}
-        assert {"spawn", "send", "deliver", "invoke", "op_result"} <= kinds
+        # spawn..done, send..deliver and invoke..result each close one span
+        spans = {span.kind: span for span in runtime.spans}
+        assert {K_TASK, K_MSG, K_MEMOP} <= set(spans)
+        assert spans[K_MSG].attrs["dst"] == 1
+        assert spans[K_MEMOP].name == "WriteOp"
+        assert spans[K_MEMOP].attrs["status"] == "ack"
+        assert not runtime.open_spans()

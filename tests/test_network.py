@@ -3,6 +3,7 @@
 from repro.net.messages import Envelope
 from repro.net.network import Network, RecvWaiter
 from repro.types import ProcessId
+from tests.conftest import env_of, make_kernel, run_single
 
 P0, P1 = ProcessId(0), ProcessId(1)
 
@@ -74,7 +75,20 @@ class TestCrashHandling:
 
 class TestEnvelope:
     def test_unique_ids(self):
-        assert _env().msg_id != _env().msg_id
+        # The sending kernel numbers its own messages: unique within one
+        # kernel, and a second kernel numbers its run the same way.
+        def sent_ids():
+            kernel = make_kernel(n_processes=2, n_memories=0)
+            env = env_of(kernel, 0)
+
+            def gen():
+                yield env.send(1, "a")
+                yield env.send(1, "b")
+
+            run_single(kernel, 0, gen())
+            return [e.msg_id for e in kernel.network.inboxes[P1]]
+
+        assert sent_ids() == sent_ids() == [1, 2]
 
     def test_repr_mentions_endpoints(self):
         text = repr(_env())

@@ -3,9 +3,9 @@
 The contract under test (see ``repro.sim.parallel``):
 
 * **sequential equivalence** — one cell under the parallel driver with a
-  deadline is bit-identical (trace hash, clock, event count) to the same
+  deadline is bit-identical (run digest, clock, event count) to the same
   kernel run directly with ``run(until=...)``;
-* **worker-count invariance** — per-cell trace hashes, final KV digests
+* **worker-count invariance** — per-cell run digests, final KV digests
   and every summary figure are identical for W = 1, 2, 4 ... on the same
   cell layout, including under chaos + live reconfiguration, because
   barriers and the fabric merge are pure functions of the cells' own
@@ -53,7 +53,7 @@ from repro.sim.parallel import Cell, FabricPort, ParallelKernel
 from repro.smr.kv import KVCommand, KVStateMachine
 from repro.smr.log import ReplicatedLog, SmrConfig, smr_regions, smr_rx_regions
 from repro.net.messages import Envelope
-from repro.obs.whatif import run_hash
+from repro.obs import run_digest
 from repro.types import BOTTOM, ProcessId
 
 
@@ -218,7 +218,7 @@ def _traffic_kernel(seed=42):
 
 
 def _fingerprint(kernel):
-    return (run_hash(kernel), kernel.now, kernel.queue.popped)
+    return (run_digest(kernel), kernel.now, kernel.queue.popped)
 
 
 class TestSequentialEquivalence:

@@ -24,6 +24,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import FaultScript
+from repro.obs import run_digest
 from repro.shard import READ_QUORUM, ShardConfig, ShardedKV
 from repro.smr.kv import KVCommand
 
@@ -166,9 +167,9 @@ def test_quorum_reads_never_return_older_than_a_completed_write(
     _check_reads_not_stale(service, writers, readers)
 
 
-def _read_run_hash(seed: int) -> str:
+def _read_run_digest(seed: int) -> str:
     """One fixed quorum-read workload, digested: every read a reader saw,
-    every per-key commit order, and the kernel's event counters."""
+    every per-key commit order, and the kernel's run digest."""
     service = ShardedKV(
         ShardConfig(
             n_shards=2, n_processes=3, batch_max=4, seed=seed,
@@ -186,17 +187,13 @@ def _read_run_hash(seed: int) -> str:
             digest.update(f"R c{reader.client_id} {key} @{started} {value!r}\n".encode())
     for key in _KEYS:
         digest.update(f"C {key} {_commit_order(service, key)}\n".encode())
-    kernel = service.kernel
-    digest.update(
-        f"pushed={kernel.queue.pushed} popped={kernel.queue.popped} "
-        f"now={kernel.now}".encode()
-    )
+    digest.update(run_digest(service.kernel).encode())
     return digest.hexdigest()
 
 
 class TestReadDeterminism:
     def test_quorum_read_run_replays_identically(self):
-        assert _read_run_hash(7) == _read_run_hash(7)
+        assert _read_run_digest(7) == _read_run_digest(7)
 
     def test_seed_sweep(self, seed_sweep):
         """Replay determinism across many seeds (off by default).
@@ -208,6 +205,6 @@ class TestReadDeterminism:
         if not seed_sweep:
             pytest.skip("enable with --seed-sweep N")
         for seed in range(seed_sweep):
-            assert _read_run_hash(seed) == _read_run_hash(seed), (
+            assert _read_run_digest(seed) == _read_run_digest(seed), (
                 f"seed {seed} diverged"
             )

@@ -1,15 +1,13 @@
 """The pluggable-scheduler contract: frontier, parity, watchdog.
 
 The load-bearing property is *parity*: a run under ``FifoScheduler`` must
-be bit-for-bit identical — trace hash, queue counters, final time — to a
+be bit-for-bit identical — run digest, queue counters, final time — to a
 run with no scheduler at all.  Everything the model checker does sits on
 that equivalence: if index 0 of the frontier were not exactly what the
 default loop fires next, "diverge at step N" would be meaningless.
 """
 
 from __future__ import annotations
-
-import hashlib
 
 import pytest
 
@@ -20,6 +18,7 @@ from repro.core.cluster import Cluster, ClusterConfig
 from repro.errors import LivelockError
 from repro.sim.event_queue import EV_RESUME, EV_WAKE, EventQueue
 from repro.failures.script import FaultScript
+from repro.obs import attach, run_digest
 from repro.sim.schedule import (
     FifoScheduler,
     RandomScheduler,
@@ -27,7 +26,7 @@ from repro.sim.schedule import (
     build_frontier,
 )
 
-from test_determinism_replay import _run_mixed, _trace_hash
+from test_determinism_replay import _run_mixed
 
 
 # ---------------------------------------------------------------------------
@@ -76,45 +75,39 @@ class TestFrontier:
 # ---------------------------------------------------------------------------
 # parity: FifoScheduler == default loop, bit for bit
 # ---------------------------------------------------------------------------
-def _chaos_hash(seed: int, scheduled: bool) -> str:
+def _chaos_digest(seed: int, scheduled: bool) -> str:
     """A churny PMP run's full observable fingerprint."""
     script = FaultScript()
     script.at(1.0).crash_process(0).recover(at=30.0)
     script.at(2.0).partition({0, 1}, {2}).heal(at=25.0)
     cluster = Cluster(
         ProtectedMemoryPaxos(),
-        ClusterConfig(3, 3, seed=seed, trace=True, deadline=60_000),
+        ClusterConfig(3, 3, seed=seed, deadline=60_000),
         script,
     )
     kernel = cluster.kernel
+    attach(kernel)
     kernel.omega = crash_aware_omega(kernel)
     if scheduled:
         kernel.scheduler = FifoScheduler()
     result = cluster.run(["a", "b", "c"])
     assert result.all_decided
-    digest = hashlib.sha256()
-    for event in kernel.tracer.events:
-        digest.update(str(event).encode())
-    digest.update(
-        f"pushed={kernel.queue.pushed} popped={kernel.queue.popped} "
-        f"now={kernel.now}".encode()
-    )
-    return digest.hexdigest()
+    return run_digest(kernel)
 
 
 class TestFifoParity:
     def test_chaos_cluster_trace_is_bit_identical(self):
-        assert _chaos_hash(7, scheduled=False) == _chaos_hash(7, scheduled=True)
+        assert _chaos_digest(7, scheduled=False) == _chaos_digest(7, scheduled=True)
 
     def test_mixed_sharded_workload_is_bit_identical(self):
         # the determinism-replay suite's heavy workload: sharded KV with a
         # BFT shard, a memory crash, and 12 clients
         service, report = _run_mixed(23)
         assert report.ok
-        default = _trace_hash(service)
+        default = run_digest(service.kernel)
         service, report = _run_mixed(23, scheduler=FifoScheduler())
         assert report.ok
-        assert _trace_hash(service) == default
+        assert run_digest(service.kernel) == default
 
     def test_scheduler_attribute_defaults_to_none(self):
         kernel = make_kernel()
@@ -126,7 +119,7 @@ class TestFifoParity:
 # ---------------------------------------------------------------------------
 class TestCustomSchedulers:
     def test_random_scheduler_is_reproducible(self):
-        assert _chaos_random_hash(3) == _chaos_random_hash(3)
+        assert _random_schedule_digest(3) == _random_schedule_digest(3)
 
     def test_scheduler_sees_every_step(self):
         class Counting(Scheduler):
@@ -151,18 +144,16 @@ class TestCustomSchedulers:
         assert counting.picks == kernel.queue.popped == 3
 
 
-def _chaos_random_hash(seed: int) -> str:
+def _random_schedule_digest(seed: int) -> str:
     cluster = Cluster(
         ProtectedMemoryPaxos(),
-        ClusterConfig(3, 3, seed=1, trace=True, deadline=60_000),
+        ClusterConfig(3, 3, seed=1, deadline=60_000),
     )
     cluster.kernel.scheduler = RandomScheduler(seed)
+    attach(cluster.kernel)
     result = cluster.run(["a", "b", "c"])
     assert result.all_decided
-    digest = hashlib.sha256()
-    for event in cluster.kernel.tracer.events:
-        digest.update(str(event).encode())
-    return digest.hexdigest()
+    return run_digest(cluster.kernel)
 
 
 # ---------------------------------------------------------------------------

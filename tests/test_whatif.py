@@ -1,4 +1,4 @@
-"""The causal what-if profiler, SLO plane, and differential tracer.
+"""The causal what-if profiler, SLO plane, and differential tracing.
 
 Three planes built on the deterministic kernel:
 
@@ -46,7 +46,7 @@ from repro.obs import (
     link_experiment,
     memory_experiment,
     phase_experiment,
-    run_hash,
+    run_digest,
     span_identities,
 )
 from repro.obs.slo import SloTracker
@@ -184,7 +184,7 @@ class TestWhatIfProfiler:
         prof = WhatIfProfiler(classic_pmp, check_determinism=True)
         run1 = prof.run([], name="a")
         run2 = prof.run([], name="b")
-        assert run1.measurement.trace_hash == run2.measurement.trace_hash
+        assert run1.measurement.digest == run2.measurement.digest
 
     def test_divergence_error_exists(self):
         # the error type is part of the public surface (callers catch it)
@@ -219,7 +219,7 @@ class TestWhatIfProfiler:
             )
             attach(cluster.kernel)
             cluster.run(["a", "b", "c"])
-            return run_hash(cluster.kernel)
+            return run_digest(cluster.kernel)
 
         assert run() == run()
 
