@@ -5,14 +5,37 @@ key per process id.  ``sign`` requires the :class:`SigningKey` capability —
 the kernel hands each process only its own — while ``verify`` is public.
 Payloads are serialised with a small canonical encoder so that equal values
 sign identically regardless of dict ordering or dataclass identity.
+
+The encoder memoises: a nested value object whose whole subtree is
+immutable keeps its encoding on itself, and later encodings append those
+bytes instead of walking it again.  Signed payloads share most of their
+structure (every trusted message carries its sender's history, and the
+same batches and proofs are signed, digested and verified over and over),
+so this keeps encoding linear in the new parts of a payload.  The contract:
+
+* only immutable nested values are memoised: a frozen dataclass (stored
+  in its ``__dict__``) or a ``_signable_fields_`` slot class with a
+  ``_canon_`` slot, and only when nothing beneath it is a list, set, dict
+  or non-frozen dataclass; those and every ancestor of one are always
+  encoded afresh;
+* the root of a :func:`canonical_bytes` call is never memoised (it is
+  typically a one-use message);
+* there is no global cache of encodings: a memo lives and dies with its
+  value (only each record type's field layout is kept module-wide).
+
+``_signable_fields_`` slot classes are treated as immutable: mutating one
+after it was signed would make later encodings of an enclosing memoised
+value stale.
 """
 
 from __future__ import annotations
 
+import enum
 import hashlib
 import hmac
 from dataclasses import dataclass, fields, is_dataclass
-from typing import Any, Optional
+from operator import itemgetter
+from typing import Any, Dict, Optional
 
 from repro.errors import SignatureError
 from repro.types import ProcessId, is_bottom
@@ -26,11 +49,47 @@ def canonical_bytes(obj: Any) -> bytes:
     :class:`Signed`/:class:`Signature`), and the register bottom ``⊥``.
     """
     out: list = []
-    _encode(obj, out)
+    _encode(obj, out, False)
     return b"".join(out)
 
 
-def _encode(obj: Any, out: list) -> None:
+# Whether a record type (dataclass or ``_signable_fields_`` class) keeps
+# its encoding: never because it is mutable, never for lack of a place to
+# keep it (a slotted dataclass, a slot class without ``_canon_``), or in
+# ``_canon_`` (the instance ``__dict__`` of a frozen dataclass, or a slot).
+_MUTABLE, _UNSTORED, _STORED = range(3)
+
+#: record type -> (header, ((field name, encoded name), ...), memo kind),
+#: or False for any other type; computed once per type
+_LAYOUTS: Dict[type, Any] = {}
+
+
+def _layout(cls: type) -> Any:
+    if is_dataclass(cls):
+        names = tuple(f.name for f in fields(cls) if f.compare)
+        if not cls.__dataclass_params__.frozen:
+            kind = _MUTABLE
+        else:
+            kind = _STORED if cls.__dictoffset__ else _UNSTORED
+    elif getattr(cls, "_signable_fields_", None) is not None:
+        # Hand-written __slots__ value objects (Batch, KVCommand, ...)
+        # declare their comparable fields explicitly; encoded in the same
+        # shape as a dataclass of the same name and fields.
+        names = tuple(cls._signable_fields_)
+        kind = _STORED if hasattr(cls, "_canon_") else _UNSTORED
+    else:
+        return False
+    pairs = []
+    for name in names:
+        piece: list = []
+        _encode(name, piece)
+        pairs.append((name, b"".join(piece)))
+    return b"d" + cls.__name__.encode() + b"<", tuple(pairs), kind
+
+
+def _encode(obj: Any, out: list, nested: bool = True) -> bool:
+    """Append the encoding of *obj* to *out*; return whether its whole
+    subtree is immutable (and so may be memoised by an enclosing value)."""
     if obj is None:
         out.append(b"N;")
     elif is_bottom(obj):
@@ -47,49 +106,70 @@ def _encode(obj: Any, out: list) -> None:
     elif isinstance(obj, bytes):
         out.append(b"y" + str(len(obj)).encode() + b":" + obj)
     elif isinstance(obj, (tuple, list)):
+        immutable = isinstance(obj, tuple)
         out.append(b"(")
         for item in obj:
-            _encode(item, out)
+            if not _encode(item, out):
+                immutable = False
         out.append(b")")
+        return immutable
     elif isinstance(obj, (set, frozenset)):
+        immutable = isinstance(obj, frozenset)
+        pieces = []
+        for item in obj:
+            piece: list = []
+            if not _encode(item, piece):
+                immutable = False
+            pieces.append(b"".join(piece))
+        pieces.sort()
         out.append(b"{")
-        for item in sorted(obj, key=lambda x: canonical_bytes(x)):
-            _encode(item, out)
+        out.extend(pieces)
         out.append(b"}")
+        return immutable
     elif isinstance(obj, dict):
+        pairs = []
+        for key, value in obj.items():
+            piece = []
+            _encode(key, piece)
+            pairs.append((b"".join(piece), value))
+        pairs.sort(key=itemgetter(0))
         out.append(b"[")
-        items = sorted(obj.items(), key=lambda kv: canonical_bytes(kv[0]))
-        for key, value in items:
-            _encode(key, out)
+        for key_bytes, value in pairs:
+            out.append(key_bytes)
             _encode(value, out)
         out.append(b"]")
-    elif is_dataclass(obj) and not isinstance(obj, type):
-        out.append(b"d" + type(obj).__name__.encode() + b"<")
-        for f in fields(obj):
-            if not f.compare:
-                continue
-            _encode(f.name, out)
-            _encode(getattr(obj, f.name), out)
-        out.append(b">")
-    elif getattr(type(obj), "_signable_fields_", None) is not None:
-        # Hand-written __slots__ value objects (Batch, KVCommand, ...)
-        # declare their comparable fields explicitly; encoded in the same
-        # shape as a dataclass of the same name and fields.
-        out.append(b"d" + type(obj).__name__.encode() + b"<")
-        for name in type(obj)._signable_fields_:
-            _encode(name, out)
-            _encode(getattr(obj, name), out)
-        out.append(b">")
-    elif isinstance(obj, enum_types()):
-        out.append(b"e" + type(obj).__name__.encode() + b"." + str(obj.name).encode() + b";")
+        return False
     else:
-        raise TypeError(f"cannot canonically encode {type(obj).__name__}: {obj!r}")
-
-
-def enum_types():
-    import enum
-
-    return (enum.Enum,)
+        cls = type(obj)
+        layout = _LAYOUTS.get(cls)
+        if layout is None:
+            layout = _LAYOUTS[cls] = _layout(cls)
+        if layout:
+            header, pairs, kind = layout
+            memo = getattr(obj, "_canon_", None) if kind == _STORED else None
+            if memo is not None:
+                out.append(memo)
+                return True
+            start = len(out)
+            out.append(header)
+            immutable = kind != _MUTABLE
+            for name, encoded_name in pairs:
+                out.append(encoded_name)
+                if not _encode(getattr(obj, name), out):
+                    immutable = False
+            out.append(b">")
+            if immutable and nested and kind == _STORED:
+                memo = b"".join(out[start:])
+                del out[start:]
+                out.append(memo)
+                # object.__setattr__ passes a frozen dataclass's guard
+                object.__setattr__(obj, "_canon_", memo)
+            return immutable
+        if isinstance(obj, enum.Enum):
+            out.append(b"e" + cls.__name__.encode() + b"." + str(obj.name).encode() + b";")
+        else:
+            raise TypeError(f"cannot canonically encode {cls.__name__}: {obj!r}")
+    return True
 
 
 @dataclass(frozen=True)

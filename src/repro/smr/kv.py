@@ -25,7 +25,11 @@ class KVCommand:
     request on the workload hot path).  ``identity`` — the at-most-once
     dedup token, or None for anonymous commands — is precomputed at
     construction: it is read on every routing, apply and completion step.
-    Treat instances as immutable.
+
+    Instances must be treated as immutable: the canonical encoder memoises
+    the encoding of an enclosing :class:`~repro.smr.log.Batch` (or frozen
+    dataclass), so a command mutated after it was signed would leave that
+    memo stale.
     """
 
     __slots__ = ("op", "key", "value", "client", "request_id", "identity")

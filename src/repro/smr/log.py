@@ -92,11 +92,15 @@ class Batch:
     Memory Paxos instance carries ``len(batch)`` client commands, which the
     state machine then applies in order.  An empty batch is a legal no-op
     filler (leader change, heartbeat).  A ``__slots__`` value object (one
-    per committed slot, and batches travel inside decision messages);
-    treat instances as immutable.
+    per committed slot, and batches travel inside decision messages).
+
+    Instances must be treated as immutable: the canonical encoder keeps a
+    batch's encoding in ``_canon_`` the first time the batch is encoded
+    inside a larger value, so a batch mutated afterwards would sign stale
+    bytes.
     """
 
-    __slots__ = ("commands",)
+    __slots__ = ("commands", "_canon_")
     #: fields the crypto canonical encoder signs (see repro.crypto.signatures)
     _signable_fields_ = ("commands",)
 
