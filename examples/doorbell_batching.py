@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Doorbell batching, side by side: fused op chains vs one-at-a-time.
 
-Part 1 traces a Protected Memory Paxos decision with the prepare phase
-enabled (``skip_first_attempt=False``) both ways.  Classic PMP runs three
+Traces a Protected Memory Paxos decision with the prepare phase enabled
+(``skip_first_attempt=False``) both ways.  Classic PMP runs three
 sequential memory rounds per replica — permission grab, probe write,
 snapshot read — before the phase-2 write: 8 delays to decide.  The
 batched protocol posts the same three ops as ONE fused chain (one queue
@@ -12,30 +12,17 @@ three ``memop`` spans per replica collapse into one ``BatchOp`` span
 annotated with its sub-op count, and the critical-path analyzer prices
 the chain at one round trip.
 
-Part 2 runs the identically-seeded sharded-KV workload (quorum reads,
-so both replication phase 2 and the read plane exercise chains) with
-``batch_chains`` off and on, and compares per-commit event counts: the
-batched run schedules fewer kernel events and opens fewer memop spans
-per committed command.  (The closed-loop driver draws ops from the
-kernel's seeded RNG, so flipping the mechanism perturbs the exact op
-sequence; the comparison is therefore per-commit, and the staleness
-tripwire stays at zero both ways — behavioural equivalence itself is
-pinned by the test suite and the exhaustive schedule explorer.)
+The replicated log and the sharded service always run this way: every
+phase-2 slot write fuses with its watermark publish and every quorum read
+fetches watermark + entries in one chain per memory.  Only PMP and
+Aligned Paxos keep the ``batch_chains`` switch, because the classic
+8-delay prepare is a delay count the paper reports.
 
 Run:  python examples/doorbell_batching.py
 """
 
-from repro import (
-    ClosedLoopClient,
-    OperationMix,
-    PmpConfig,
-    ProtectedMemoryPaxos,
-    ShardConfig,
-    ShardedKV,
-    UniformKeys,
-)
+from repro import PmpConfig, ProtectedMemoryPaxos
 from repro.core.cluster import Cluster, ClusterConfig
-from repro.metrics.reporting import format_table
 from repro.obs import attach, critical_path, render_tree
 from repro.obs.spans import K_MEMOP
 from repro.types import ProcessId
@@ -65,64 +52,10 @@ def traced_decision(batch_chains: bool) -> None:
     print()
 
 
-def stack_side_by_side() -> None:
-    print("=== sharded KV, same seeded workload, batch_chains off vs on ===\n")
-    rows = []
-    for batch_chains in (False, True):
-        service = ShardedKV(
-            ShardConfig(
-                n_shards=2, batch_max=4, seed=7, read_mode="quorum",
-                batch_chains=batch_chains, deadline=10.0**6,
-            )
-        )
-        runtime = attach(service.kernel)
-        clients = [
-            ClosedLoopClient(
-                client_id=c, n_ops=10, keys=UniformKeys(32),
-                mix=OperationMix(0.5),
-            )
-            for c in range(12)
-        ]
-        report = service.run_workload(clients)
-        assert report.ok
-        kernel = service.kernel
-        ledger = kernel.metrics
-        assert ledger.staleness_violations == 0
-        commits = sum(ledger.shard_commits.values())
-        memops = [s for s in runtime.spans if s.kind == K_MEMOP]
-        chains = sum(1 for s in memops if s.name == "BatchOp")
-        rows.append(
-            [
-                "on" if batch_chains else "off",
-                commits,
-                kernel.queue.popped,
-                f"{kernel.queue.popped / commits:.1f}",
-                ledger.total_mem_ops(),
-                len(memops),
-                chains,
-                f"{kernel.now:.0f}",
-            ]
-        )
-    print(
-        format_table(
-            ["chains", "commits", "events", "events/commit",
-             "one-sided ops", "memop spans", "fused chains", "finish"],
-            rows,
-        )
-    )
-    print(
-        "\nSame workload, zero staleness violations both ways — the batched\n"
-        "run just rings fewer doorbells per commit: every phase-2 slot\n"
-        "write fuses with its watermark publish, and every quorum read\n"
-        "fetches watermark + entries in one chain per memory."
-    )
-
-
 def main() -> None:
     print("=== one PMP decision with the prepare phase on, traced ===\n")
     traced_decision(batch_chains=False)
     traced_decision(batch_chains=True)
-    stack_side_by_side()
 
 
 if __name__ == "__main__":

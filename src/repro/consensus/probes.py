@@ -1,6 +1,6 @@
 """One-sided read probes for permission-fenced protocols.
 
-Three primitives the non-consensus read paths are built from, shared by
+Two primitives the non-consensus read paths are built from, shared by
 Protected Memory Paxos, Aligned Paxos and the replicated-log layer:
 
 * :func:`probe_write_grant` — the **fence check**: a zero-length
@@ -13,18 +13,13 @@ Protected Memory Paxos, Aligned Paxos and the replicated-log layer:
   linearizable to serve as of ``t``.
 * :func:`read_quorum_watermarks` — the **watermark read**: snapshot the
   per-writer commit-watermark registers from a majority and take the
-  max.  Because a writer publishes watermark ``s`` only after slot ``s``
-  is majority-written (and waits for a majority ACK before answering any
-  client), the max over any majority covers every write a client ever
-  saw complete.
-* :func:`publish_watermark` — the **watermark write**: install a slot
-  index in the caller's own watermark register on every memory and wait
-  for a majority.  Leaders publish after each commit; quorum readers
-  write back the watermark they observed (the ABD read write-back) so a
-  later reader can never observe an older quorum than one already
-  served.
+  max, with the per-register confirmation verdict of
+  :func:`max_confirmed_watermark`.  A leader installs watermark ``s`` in
+  the same chain as slot ``s``'s phase-2 write and waits for a majority
+  ACK before answering any client, so a *confirmed* max covers every
+  write a client ever saw complete.
 
-All three are plain generators over :class:`~repro.sim.environment.
+Both are plain generators over :class:`~repro.sim.environment.
 ProcessEnv` — each costs one two-delay memory round, issued to all
 memories as a single-completion fan-out
 (:class:`~repro.sim.effects.OpFanoutEffect`): the kernel counts ACKs and
@@ -34,7 +29,7 @@ verdict is in, instead of re-registering a waiter closure per response.
 :func:`read_quorum_chain` is the doorbell-batched read round built from
 the same pieces: per memory, ONE fused chain carrying the watermark
 snapshot and the floor-filtered entry snapshot — the quorum read's two
-rounds collapsed into one (see ``ReplicatedLog._quorum_read_inner`` for
+rounds collapsed into one (see ``ReplicatedLog._quorum_read_fused`` for
 the adoption rule that makes this safe).
 """
 
@@ -42,7 +37,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
-from repro.mem.operations import BatchOp, ProbeOp, ReadSnapshotOp, SnapshotOp, WriteOp
+from repro.mem.operations import BatchOp, ProbeOp, ReadSnapshotOp, SnapshotOp
 from repro.sim.environment import ProcessEnv
 from repro.types import RegionId, RegisterKey
 
@@ -91,9 +86,9 @@ def read_quorum_watermarks(
 
     Returns ``(watermark, confirmed)`` where *watermark* is the max slot
     index seen (``-1`` when nothing was ever published) and *confirmed*
-    is True when a majority of the responding views already carry that
-    max — in which case a reader may skip the write-back round (the value
-    is provably durable at a majority).  Returns ``(None, False)`` when a
+    is True when one writer's register carries that max at a majority of
+    the responding views (see :func:`max_confirmed_watermark`); readers
+    serve only a confirmed watermark.  Returns ``(None, False)`` when a
     majority cannot be assembled (memories down, or the region fenced
     away by a reconfiguration).
     """
@@ -137,23 +132,6 @@ def max_confirmed_watermark(views, majority: int) -> Tuple[int, bool]:
     return watermark, best >= majority
 
 
-def publish_watermark(
-    env: ProcessEnv,
-    rx_region: RegionId,
-    slot: int,
-    timeout: Optional[float] = None,
-) -> Generator:
-    """Install *slot* in this process's watermark register, majority-acked.
-
-    Per-writer registers keep concurrent publishers from clobbering each
-    other; the caller is responsible for keeping its own register
-    monotone (see ``ReplicatedLog._publish_watermark``).
-    """
-    op = WriteOp(rx_region, watermark_key(rx_region, int(env.pid)), int(slot))
-    state, majority = yield from _verdict_fanout(env, lambda mid: op, timeout)
-    return state.acked >= majority
-
-
 def read_quorum_chain(
     env: ProcessEnv,
     rx_region: RegionId,
@@ -174,7 +152,7 @@ def read_quorum_chain(
 
     Callers MUST gate on ``env.fifo_memory_ops`` and apply the per-view
     qualification rule (adopt slot ``s`` only from a view whose own
-    watermark is ``>= s``) — see ``ReplicatedLog._quorum_read_inner``.
+    watermark is ``>= s``) — see ``ReplicatedLog._quorum_read_fused``.
     """
     chain = BatchOp(
         (SnapshotOp(rx_region, (rx_region,)), ReadSnapshotOp(region, prefix, floor))

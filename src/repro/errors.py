@@ -83,14 +83,5 @@ class SignatureError(ReproError):
     """A signature operation was attempted with a key the caller lacks."""
 
 
-class PermissionError_(ReproError):
-    """Raised only by the RDMA facade for locally detectable misuse.
-
-    The abstract memory never raises on permission problems — it returns
-    ``nak`` like the hardware would — but the facade validates handles
-    eagerly (e.g. using an rkey after deregistration).
-    """
-
-
 class ProtocolError(ReproError):
     """A protocol implementation detected an impossible local state."""

@@ -168,10 +168,12 @@ class BatchOp(_OpBase):
     chain resolves to ``OpResult(ACK, tuple_of_sub_values)``.
 
     Chains do not nest — a batch inside a batch is a construction error,
-    exactly as a WR list cannot contain another WR list.  ``regions`` is
-    the precomputed tuple of distinct region ids the chain touches (in
-    first-touch order): the explorer's dependency relation uses it as the
-    chain's conservative footprint.
+    exactly as a WR list cannot contain another WR list — and may not be
+    empty: an empty chain would still cost a round trip and count a batch
+    while touching no region, so the explorer would see it commute with
+    everything.  ``regions`` is the precomputed tuple of distinct region
+    ids the chain touches (in first-touch order): the explorer's
+    dependency relation uses it as the chain's conservative footprint.
     """
 
     __slots__ = ("ops", "regions")
@@ -179,6 +181,8 @@ class BatchOp(_OpBase):
 
     def __init__(self, ops) -> None:
         ops = tuple(ops)
+        if not ops:
+            raise ValueError("an op chain needs at least one operation")
         regions = []
         for op in ops:
             if getattr(op, "kind", None) == OP_BATCH:

@@ -93,12 +93,6 @@ class ShardConfig:
     read_mode: str = READ_CONSENSUS
     #: one-sided quorum read attempts before falling back to consensus
     read_attempts: int = 3
-    #: doorbell batching in every group's log (see ``SmrConfig.batch_chains``):
-    #: fused phase-2 slot+watermark chains, single-completion fan-outs and
-    #: 1-round fused quorum reads.  One flag for the whole service — fused
-    #: writers require the batched readers' confirmation rule, so writers
-    #: and readers must flip together.
-    batch_chains: bool = True
     #: declarative SLOs (:class:`repro.obs.slo.Objective`) evaluated on the
     #: obs runtime's virtual-time ticker.  Only active when an obs runtime
     #: is attached before ``run_workload`` — without one the service keeps
@@ -436,7 +430,6 @@ class ShardedKV:
                 region=shard_region(shard),
                 topic=shard_region(shard),
                 publish_watermark=self.config.read_paths_enabled,
-                batch_chains=self.config.batch_chains,
             ),
             leader_fn=lambda g=shard: self.leader_of(g),
             recovered=recovered,

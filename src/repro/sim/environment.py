@@ -4,11 +4,11 @@ A :class:`ProcessEnv` wraps the kernel for one process.  Methods come in
 three flavours:
 
 * *effect builders* (``send``, ``invoke``, ``wait``, ``recv_effect``,
-  ``sleep``, ``spawn``, ``gate_wait``) return effect objects for the
-  protocol generator to ``yield``;
+  ``sleep``, ``spawn``, ``gate_wait``, ``fanout_to_all``) return effect
+  objects for the protocol generator to ``yield``;
 * *sub-generators* (``write``, ``read``, ``snapshot``, ``change_permission``,
-  ``recv``, ``broadcast``) bundle an invoke+wait round trip and are used
-  with ``yield from``;
+  ``batch``, ``recv``, ``broadcast``) bundle an invoke+wait round trip and
+  are used with ``yield from``;
 * *instant helpers* (``sign``, ``verify``, ``decide``, ``now``, ``leader``)
   are plain calls — they model instantaneous local computation.
 
@@ -19,16 +19,14 @@ signature forgery, sender spoofing).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Generator, Iterable, List, Optional, Sequence
 
 from repro.crypto.signatures import Signed, SigningKey
 from repro.mem.operations import (
     BatchOp,
     ChangePermissionOp,
     MemoryOp,
-    ProbeOp,
     ReadOp,
-    ReadSnapshotOp,
     SnapshotOp,
     WriteOp,
 )
@@ -241,26 +239,6 @@ class ProcessEnv:
         result = yield OpEffect(MemoryId(mid), SnapshotOp(region, prefix))
         return result
 
-    def probe(self, mid: MemoryId, region: RegionId, access: str = "write") -> Generator:
-        """Zero-length permission probe on one memory; returns :class:`OpResult`.
-
-        ACK iff this process currently holds *access* on *region* — the
-        one-sided fence check of the permission-fenced read path.
-        """
-        result = yield OpEffect(MemoryId(mid), ProbeOp(region, access))
-        return result
-
-    def read_snapshot(
-        self, mid: MemoryId, region: RegionId, prefix: RegisterKey, floor: Any = None
-    ) -> Generator:
-        """Floor-filtered snapshot of a slot array; returns :class:`OpResult`.
-
-        Integer-indexed registers below *floor* are filtered at the memory
-        (the quorum read path's bounded catch-up read).
-        """
-        result = yield OpEffect(MemoryId(mid), ReadSnapshotOp(region, prefix, floor))
-        return result
-
     def change_permission(
         self, mid: MemoryId, region: RegionId, new_permission: Permission
     ) -> Generator:
@@ -295,54 +273,6 @@ class ProcessEnv:
         result = yield BatchOpEffect(MemoryId(mid), BatchOp(ops))
         return result
 
-    def write_batch(
-        self,
-        mid: MemoryId,
-        writes: Iterable[Tuple[RegionId, RegisterKey, Any]],
-    ) -> Generator:
-        """Fused multi-register write to one memory; returns :class:`OpResult`.
-
-        ``writes`` is an iterable of ``(region, key, value)`` triples,
-        applied in order with chain-abort semantics — the doorbell-batched
-        analogue of N ``env.write`` round trips.
-        """
-        ops = [WriteOp(region, key, value) for region, key, value in writes]
-        result = yield BatchOpEffect(MemoryId(mid), BatchOp(ops))
-        return result
-
-    def read_batch(
-        self,
-        mid: MemoryId,
-        reads: Iterable[Tuple[RegionId, RegisterKey]],
-    ) -> Generator:
-        """Fused multi-register read from one memory; returns
-        :class:`OpResult` whose ACK value is the tuple of register values
-        in request order."""
-        ops = [ReadOp(region, key) for region, key in reads]
-        result = yield BatchOpEffect(MemoryId(mid), BatchOp(ops))
-        return result
-
-    def op_fanout(
-        self,
-        targets: Iterable[Tuple[MemoryId, MemoryOp]],
-        need: int,
-        count_acks: bool = False,
-        spare_naks: int = 0,
-        timeout: Optional[float] = None,
-    ) -> OpFanoutEffect:
-        """Effect builder: post one op (or chain) per ``(mid, op)`` target
-        and park for a single completion verdict; the task resumes with the
-        shared :class:`~repro.sim.futures.FanoutState`.  See
-        :class:`~repro.sim.effects.OpFanoutEffect` for the verdict rules.
-        """
-        return OpFanoutEffect(
-            tuple((MemoryId(mid), op) for mid, op in targets),
-            need,
-            count_acks=count_acks,
-            spare_naks=spare_naks,
-            timeout=timeout,
-        )
-
     def fanout_to_all(
         self,
         make_op: Callable[[MemoryId], MemoryOp],
@@ -351,9 +281,13 @@ class ProcessEnv:
         spare_naks: int = 0,
         timeout: Optional[float] = None,
     ) -> OpFanoutEffect:
-        """``op_fanout`` over every memory: ``make_op(mid)`` per memory,
-        default *need* = a majority — the phase-2 fan-out idiom in one
-        effect (single completion, no futures, no waiter closures)."""
+        """Effect builder: post ``make_op(mid)`` (one op or chain) to every
+        memory and park for a single completion verdict; the task resumes
+        with the shared :class:`~repro.sim.futures.FanoutState`.  Default
+        *need* = a majority — the phase-2 fan-out idiom in one effect (no
+        futures, no waiter closures).  See
+        :class:`~repro.sim.effects.OpFanoutEffect` for the verdict rules.
+        """
         if need is None:
             need = self.majority_of_memories()
         return OpFanoutEffect(

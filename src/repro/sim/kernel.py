@@ -263,7 +263,7 @@ class Kernel:
             self._fx_spawn,      # FX_SPAWN
             self._fx_op,         # FX_OP
             self._fx_op,         # FX_BATCH_OP (chains share the fused-op path)
-            self._fx_op_fanout,  # FX_OP_FANOUT
+            self._fx_fanout,  # FX_OP_FANOUT
         ]
 
     def set_latency(self, latency) -> None:
@@ -1000,7 +1000,7 @@ class Kernel:
         self.queue.push(self.now + req, EV_OP_ARRIVE, task, token, (mid, op))
         return _PARKED
 
-    def _fx_op_fanout(self, task: Task, effect):
+    def _fx_fanout(self, task: Task, effect):
         """Post one op (or chain) per target memory with single-completion
         semantics (see :class:`OpFanoutEffect`): all completions fold into
         one shared :class:`FanoutState`, and the task resumes exactly once

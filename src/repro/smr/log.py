@@ -23,7 +23,6 @@ from repro.consensus.messages import Decision
 from repro.consensus.probes import (
     max_confirmed_watermark,
     probe_write_grant,
-    publish_watermark,
     read_quorum_chain,
     read_quorum_watermarks,
     watermark_key,
@@ -57,10 +56,11 @@ def rx_region_of(region: str) -> str:
     """The read-index sibling region of one log region.
 
     Holds the per-writer commit-watermark registers the one-sided quorum
-    read path reads (and writes back).  It is a *separate* region because
-    its permission shape differs from the log's: the log region is
-    exclusive-writer (the PMP fence), while watermark write-backs must be
-    open to every process — a quorum reader is not the leader.
+    read path reads.  It is a *separate* region because its permission
+    shape differs from the log's: the log region is exclusive-writer (the
+    PMP fence), while every process must be able to publish to its own
+    watermark register — any process may become the log's leader, and a
+    takeover must not have to move a second grant.
     """
     return region + "-rx"
 
@@ -141,22 +141,12 @@ class SmrConfig:
     #: group its own namespace so groups sharing a kernel never interfere
     region: str = SMR_REGION
     topic: str = SMR_TOPIC
-    #: publish the commit watermark to the read-index region after every
-    #: committed slot, majority-acked BEFORE any client sees the commit.
-    #: Off by default: it adds one memory round per committed slot
-    #: (amortised across the batch), and only the one-sided quorum read
-    #: path needs it.  Requires ``smr_rx_regions`` to be registered.
+    #: publish the commit watermark to the read-index region with every
+    #: committed slot, majority-acked BEFORE any client sees the commit:
+    #: the watermark write rides the phase-2 chain, so it costs no extra
+    #: memory round.  Off by default (only the one-sided quorum read path
+    #: needs it).  Requires ``smr_rx_regions`` to be registered.
     publish_watermark: bool = False
-    #: doorbell batching: fuse the phase-2 slot write with the watermark
-    #: publish into ONE chain per memory (saving a full memory round per
-    #: committed slot when ``publish_watermark`` is on), run fan-outs with
-    #: single-completion semantics, and let quorum readers use the fused
-    #: 1-round chain read.  Writers and readers MUST agree on this flag
-    #: (they share the SmrConfig object): fused writers can leave a failed
-    #: chain's watermark at a minority, which only the batched readers'
-    #: confirmed-majority rule tolerates.  ``False`` restores the classic
-    #: separate-rounds paths exactly.
-    batch_chains: bool = True
 
 
 def smr_regions(
@@ -235,8 +225,9 @@ class ReplicatedLog:
         #: read-index region for watermark registers (quorum read path)
         self.rx_region = rx_region_of(self.region)
         #: highest watermark this process ever published (or started to):
-        #: raised optimistically BEFORE the write leaves, so two reads
-        #: interleaving their write-backs can never regress the register
+        #: raised BEFORE the phase-2 chain leaves, so the register never
+        #: regresses and ``serves_local_reads`` refuses until the apply
+        #: catches up
         self._wm_publish_floor = -1
 
     # ------------------------------------------------------------------
@@ -276,13 +267,12 @@ class ReplicatedLog:
         committed, so serving it — even fenced — could be stale.
 
         It also requires the applied state to have caught up with this
-        process's own published watermark: during the publish round of a
-        commit (or a quorum read's write-back) the registers can already
-        advertise a slot the local apply has not executed — a quorum
-        reader may have served that slot, so answering from the lagging
-        local state here would be new-then-old.  The window closes within
-        the same commit step; refusing (the caller falls back) keeps the
-        fenced path never-stale.
+        process's own published watermark: while a commit's phase-2 chain
+        is in flight the registers can already advertise a slot the local
+        apply has not executed — a quorum reader may have served that
+        slot, so answering from the lagging local state here would be
+        new-then-old.  The window closes within the same commit step;
+        refusing (the caller falls back) keeps the fenced path never-stale.
         """
         if not self.permissions_held:
             return False
@@ -297,28 +287,6 @@ class ReplicatedLog:
         is live at a majority of memories (see ``PmpNode.grant_probe``)."""
         held = yield from probe_write_grant(self.env, self.region, timeout=timeout)
         return held
-
-    def _publish_watermark(self, slot: int) -> Generator:
-        """Majority-install ``commit watermark = slot`` in our register.
-
-        Called by the leader after slot *slot*'s phase-2 write ACKed at a
-        majority and BEFORE the commit is applied or broadcast: every
-        client-visible effect of the commit therefore happens after the
-        watermark is durable, which is what lets a quorum reader trust
-        ``max(watermarks over any majority)`` to cover every completed
-        write.  The register is kept monotone through the optimistic
-        floor (concurrent quorum-read write-backs share it).
-        """
-        target = max(int(slot), self._wm_publish_floor)
-        self._wm_publish_floor = target
-        obs = self.env.obs
-        phase = obs and obs.phase("log.watermark", slot=target)
-        try:
-            ok = yield from publish_watermark(self.env, self.rx_region, target)
-        finally:
-            if phase:
-                phase.finish()
-        return ok
 
     def quorum_read(self, timeout: Optional[float] = None) -> Generator:
         """One-sided quorum read: no leader involvement, ABD-style.
@@ -339,13 +307,15 @@ class ReplicatedLog:
           watermark advanced, so this read's majority holds each one,
           and the highest-ballot copy per slot is the committed value
           (the standard Paxos invariant: later ballots re-propose it);
-        * before answering, the observed watermark is written back to a
-          majority (skipped when the quorum already confirms it), so two
-          sequential quorum reads can never see new-then-old.
+        * only a *confirmed* watermark is served — one writer's register
+          carries it at a majority, so it is already durable there and
+          two sequential quorum reads can never see new-then-old.  An
+          unconfirmed max (a failed phase-2 chain's minority residue)
+          returns ``None`` and is never written back.
 
-        With ``batch_chains`` (and FIFO queue pairs) the whole read is
-        ONE doorbell-batched round — see :meth:`_quorum_read_fused` for
-        the adoption rules that replace the write-back.
+        Under FIFO queue pairs the whole read is ONE doorbell-batched
+        round (:meth:`_quorum_read_fused`); otherwise it is two sequential
+        rounds: the watermark read, then the entry fetch.
         """
         env = self.env
         majority = env.majority_of_memories()
@@ -360,13 +330,13 @@ class ReplicatedLog:
 
     def _quorum_read_inner(self, majority: int, timeout: Optional[float]) -> Generator:
         env = self.env
-        if self.config.batch_chains and env.fifo_memory_ops:
+        if env.fifo_memory_ops:
             # Doorbell-batched read: ONE fused chain per memory carries
             # both the watermark snapshot and the entry snapshot — the
             # two sequential rounds collapse into one.  Requires FIFO
             # queue pairs (constant per-leg delays): with reordering the
-            # per-view consistent-cut argument below would not bound
-            # which commits an early-served entry view has seen.
+            # per-view consistent-cut argument of the fused read would
+            # not bound which commits an early-served entry view has seen.
             result = yield from self._quorum_read_fused(majority, timeout)
             return result
         # The watermark MUST be observed before the entries are fetched:
@@ -386,43 +356,21 @@ class ReplicatedLog:
             return None
         if watermark <= self.applied_upto:
             # local state is already at least as fresh as the quorum —
-            # nothing to ingest, nothing to write back
+            # nothing to ingest
             return self.applied_upto
-        write_back = None
         if not confirmed:
-            if self.config.batch_chains:
-                # Fused writers can leave a FAILED chain's watermark at a
-                # minority of registers (the slot write ACKed, the run
-                # died before a majority).  Writing that residue back
-                # would promote it to a majority and let a later reader
-                # "confirm" a slot no writer ever committed — so under
-                # batch_chains an unconfirmed watermark is neither served
-                # nor written back: fall back to the consensus path
-                # before paying for an entry fetch it could never serve.
-                return None
-            # Classic writers publish a watermark only after its slot is
-            # majority-committed, so even a minority residue describes
-            # real commits — amplifying it to a majority is safe.  Ride
-            # the write-back WR on the entry-fetch chain instead of
-            # paying a third round afterwards: the chain applies in
-            # order, so any memory whose snapshot ACKs has durably
-            # installed the watermark first.  A majority of ACKs below
-            # therefore certifies exactly what the separate
-            # ``publish_watermark`` round used to (6 delays -> 4).
-            target = max(watermark, self._wm_publish_floor)
-            self._wm_publish_floor = target
-            write_back = WriteOp(
-                self.rx_region, watermark_key(self.rx_region, int(env.pid)), target
-            )
+            # A FAILED phase-2 chain can leave its watermark at a minority
+            # of registers (the slot write ACKed, the run died before a
+            # majority).  Serving that residue, or writing it back, would
+            # let a later reader "confirm" a slot no writer ever
+            # committed — fall back to the consensus path before paying
+            # for an entry fetch that could never be served.
+            return None
         floor = self.applied_upto + 1
         read_op = ReadSnapshotOp(self.region, (self.region,), floor)
-        fetch_op = read_op if write_back is None else BatchOp((write_back, read_op))
-        entry_futures = yield from env.invoke_on_all(lambda mid: fetch_op)
+        entry_futures = yield from env.invoke_on_all(lambda mid: read_op)
         yield env.wait(entry_futures, count=majority, timeout=timeout)
-        if write_back is None:
-            views = [f.value for f in entry_futures if f.done and f.ok]
-        else:
-            views = [f.value[1] for f in entry_futures if f.done and f.ok]
+        views = [f.value for f in entry_futures if f.done and f.ok]
         if len(views) < majority:
             return None
         best: Dict[int, tuple] = {}
@@ -453,8 +401,8 @@ class ReplicatedLog:
 
         Each ACKing memory returns a *consistent cut* ``(wm_view,
         entry_view)`` — both snapshots applied at one arrival instant.
-        Three rules make the single round safe where the classic path
-        needed sequencing and a write-back:
+        Three rules make the single round safe where the sequential path
+        needs the watermark observed before the entries are fetched:
 
         * **per-register confirmation** (``max_confirmed_watermark``):
           the max watermark is trusted only when one writer's register
@@ -468,13 +416,12 @@ class ReplicatedLog:
           commit reached that memory can never supply a fenced-out
           proposer's residue for it;
         * **no write-back**: a confirmed watermark is already durable at
-          a majority, and an unconfirmed one must not be amplified (see
-          ``_quorum_read_inner``) — so the round is never followed by a
-          publish.
+          a majority, and an unconfirmed one must not be amplified — so
+          the round is never followed by a publish.
 
         Holes (a committed slot no qualifying view holds — wiped memory,
         or every cut predating its chain) return ``None``: consensus
-        fallback, same as the classic path.
+        fallback, same as the sequential path.
         """
         env = self.env
         floor = self.applied_upto + 1
@@ -679,23 +626,20 @@ class ReplicatedLog:
                 return
 
         # Phase 2: one slot write per memory, all leaving at this instant,
-        # leader resuming on a majority — two delays either way.  With
-        # batch_chains + publish_watermark the watermark write rides the
-        # SAME chain as the slot write (slot first, so a deposed leader's
-        # NAK aborts the chain before the watermark can advance), saving
-        # the separate publish round per committed slot.
+        # leader resuming on a majority — two delays.  With
+        # publish_watermark the watermark write rides the SAME chain as
+        # the slot write (slot first, so a deposed leader's NAK aborts the
+        # chain before the watermark can advance): the watermark is
+        # majority-durable before any client sees the commit, at no extra
+        # memory round.
         slot_value = PmpSlot(min_prop=prop_nr, acc_prop=prop_nr, value=my_value)
         key = self._slot_key(slot, int(env.pid))
         obs = env.obs
         phase = obs and obs.phase("log.phase2", slot=slot)
-        publish = self.config.publish_watermark
-        fused = publish and self.config.batch_chains
-        published = False
         wm_refused = False
-        if fused:
-            # Floor raised BEFORE the chain leaves (same monotonicity
-            # contract as _publish_watermark): a concurrent local read
-            # path must refuse to serve until the apply catches up.
+        if self.config.publish_watermark:
+            # Floor raised BEFORE the chain leaves: a concurrent local
+            # read path must refuse to serve until the apply catches up.
             target = max(int(slot), self._wm_publish_floor)
             self._wm_publish_floor = target
             chain_ops = (
@@ -724,7 +668,6 @@ class ReplicatedLog:
             wm_refused = any(
                 not r.ok and r.value.failed_index == 1 for r in results
             )
-            published = not failed
         elif env.strict_outstanding:
             # Model-conformance mode: the one-outstanding rule is enforced
             # per task per memory, and the proposer task is long-lived — a
@@ -740,27 +683,22 @@ class ReplicatedLog:
             yield from chains.launch(phase2)
             yield from chains.wait_for(majority)
             failed = any(not ok for ok in chains.results.values())
-        elif self.config.batch_chains:
+        else:
             # Hot path, nothing to fuse (watermark off): single-completion
             # fan-out — one queue entry per memory out, ONE wake back, no
             # per-future waiter closures.
             write_op = WriteOp(region=self.region, key=key, value=slot_value)
             state = yield env.fanout_to_all(lambda mid: write_op, need=majority)
             failed = state.naked > 0
-        else:
-            # Classic path (batch_chains off): issue the writes directly
-            # from the proposer task and wait on the futures.
-            write_op = WriteOp(region=self.region, key=key, value=slot_value)
-            futures = yield from env.invoke_on_all(lambda mid: write_op)
-            yield env.wait(futures, count=majority)
-            failed = any(f.done and not f.ok for f in futures)
         if phase:
             phase.finish(failed=failed)
         if failed:
             if wm_refused:
                 # A chain aborted at the watermark write: the open, static
-                # rx region can only refuse when it was never registered —
-                # same loud assembly error as the separate publish round.
+                # rx region can only refuse when it was never registered.
+                # Proceeding would silently re-open the staleness hole the
+                # watermark closes, so this is a loud assembly error, not
+                # a degradation.
                 raise ConfigurationError(
                     f"watermark publish to {self.rx_region!r} refused: "
                     "publish_watermark=True requires the smr_rx_regions "
@@ -768,21 +706,6 @@ class ReplicatedLog:
                 )
             self.permissions_held = False  # somebody grabbed the region
             return
-        if publish and not published:
-            # The slot is committed (majority-acked under the fence) but
-            # not yet client-visible; make the watermark durable FIRST so
-            # no client can see a reply a quorum reader could miss.  The
-            # open rx region can only NAK a majority when it was never
-            # registered — proceeding would silently re-open the staleness
-            # hole the watermark closes, so a failed publish is a loud
-            # assembly error, not a degradation.
-            published = yield from self._publish_watermark(slot)
-            if not published:
-                raise ConfigurationError(
-                    f"watermark publish to {self.rx_region!r} refused at a "
-                    "majority of memories: publish_watermark=True requires "
-                    "the smr_rx_regions read-index region to be registered"
-                )
         self._commit(slot, my_value)
         yield from env.broadcast(
             (slot, Decision(value=my_value)), topic=self.topic, include_self=False
@@ -794,40 +717,22 @@ class ReplicatedLog:
         grab = Permission.exclusive_writer(int(env.pid), range(env.n_processes))
         probe = PmpSlot(min_prop=prop_nr, acc_prop=None, value=BOTTOM)
         probe_key = self._slot_key(slot, int(env.pid))
+        # Doorbell-batched takeover: grab + ballot-publishing probe +
+        # whole-region snapshot (every slot any previous leader may have
+        # written, not just the one being proposed) ride ONE chain per
+        # memory — two delays.  The grab policy ACKs any legitimate
+        # self-grab (including a no-op re-grab), so a tombstoned region
+        # NAKs at WR 0, and no usurper can interleave between probe and
+        # snapshot (the chain applies atomically at the memory).
+        chain_ops = (
+            ChangePermissionOp(self.region, grab),
+            WriteOp(self.region, probe_key, probe),
+            SnapshotOp(self.region, (self.region,)),
+        )
 
-        if self.config.batch_chains:
-            # Doorbell-batched takeover: grab + ballot-publishing probe +
-            # whole-region snapshot ride ONE chain per memory — two delays
-            # instead of six.  The grab policy ACKs any legitimate
-            # self-grab (including a no-op re-grab), so the chain aborts
-            # exactly where the classic sequence would have failed: a
-            # tombstoned region NAKs at WR 0, and no usurper can
-            # interleave between probe and snapshot (the chain applies
-            # atomically at the memory).
-            chain_ops = (
-                ChangePermissionOp(self.region, grab),
-                WriteOp(self.region, probe_key, probe),
-                SnapshotOp(self.region, (self.region,)),
-            )
-
-            def phase1(mid):
-                result = yield from env.batch(mid, chain_ops)
-                if not result.ok:
-                    return (False, None)
-                return (True, result.value[2])
-
-        else:
-
-            def phase1(mid):
-                yield from env.change_permission(mid, self.region, grab)
-                write = yield from env.write(mid, self.region, probe_key, probe)
-                if not write.ok:
-                    return (False, None)
-                # Takeover reads the *whole* region: every slot any
-                # previous leader may have written, not just the one
-                # being proposed.
-                snap = yield from env.snapshot(mid, self.region, (self.region,))
-                return (True, snap.value if snap.ok else None)
+        def phase1(mid):
+            result = yield from env.batch(mid, chain_ops)
+            return result.value[2] if result.ok else None
 
         obs = env.obs
         phase = obs and obs.phase("log.prepare", slot=slot)
@@ -837,13 +742,11 @@ class ReplicatedLog:
         finally:
             if phase:
                 phase.finish()
-        results = list(chains.results.values())
-        if any(not ok for ok, _ in results):
+        views = list(chains.results.values())
+        if any(view is None for view in views):
             return None
         best_per_slot: Dict[int, tuple] = {}
-        for ok, view in results:
-            if view is None:
-                return None
+        for view in views:
             for key, other in view.items():
                 if key == self._slot_key(slot, int(env.pid)) or not isinstance(
                     other, PmpSlot

@@ -12,19 +12,10 @@ two delays.  The fan-out contract (``OpFanoutEffect`` +
 
 import pytest
 
-from repro.errors import PermissionError_
-from repro.mem.operations import (
-    BatchOp,
-    ChangePermissionOp,
-    ReadOp,
-    SnapshotOp,
-    WriteOp,
-)
+from repro.mem.operations import BatchOp, ReadOp, WriteOp
 from repro.mem.permissions import Permission, exclusive_grab_policy
 from repro.mem.regions import RegionSpec
 from repro.obs import attach, run_digest
-from repro.rdma.protection_domain import ProtectionDomain
-from repro.rdma.verbs import RdmaNic
 from repro.types import ChainAbort, MemoryId, ProcessId, is_bottom
 
 from tests.conftest import env_of, make_kernel, run_single
@@ -71,8 +62,8 @@ class TestChainSemantics:
         env = env_of(kernel, 0)
 
         def gen():
-            yield from env.write_batch(
-                0, [("r", ("x", str(i)), i) for i in range(8)]
+            yield from env.batch(
+                0, [WriteOp("r", ("x", str(i)), i) for i in range(8)]
             )
             return env.now
 
@@ -81,15 +72,15 @@ class TestChainSemantics:
         # exactly one single op's round trip.
         assert task.result == 2.0
 
-    def test_read_batch_returns_values_in_request_order(self, kernel):
+    def test_read_chain_returns_values_in_request_order(self, kernel):
         env = env_of(kernel, 0)
 
         def gen():
-            yield from env.write_batch(
-                0, [("r", ("x", "a"), 10), ("r", ("x", "b"), 20)]
+            yield from env.batch(
+                0, [WriteOp("r", ("x", "a"), 10), WriteOp("r", ("x", "b"), 20)]
             )
-            result = yield from env.read_batch(
-                0, [("r", ("x", "b")), ("r", ("x", "a"))]
+            result = yield from env.batch(
+                0, [ReadOp("r", ("x", "b")), ReadOp("r", ("x", "a"))]
             )
             return result.value
 
@@ -162,6 +153,8 @@ class TestChainSemantics:
         inner = BatchOp((WriteOp("r", ("x", "k"), 1),))
         with pytest.raises(ValueError):
             BatchOp((inner,))
+        with pytest.raises(ValueError):
+            BatchOp(())  # an empty chain would still cost a round trip
 
     def test_chain_footprint_is_region_union(self):
         chain = BatchOp(
@@ -177,8 +170,8 @@ class TestChainSemantics:
         env = env_of(kernel, 0)
 
         def gen():
-            yield from env.write_batch(
-                0, [("r", ("x", str(i)), i) for i in range(5)]
+            yield from env.batch(
+                0, [WriteOp("r", ("x", str(i)), i) for i in range(5)]
             )
 
         run_single(kernel, 0, gen())
@@ -257,78 +250,6 @@ class TestSingleCompletionFanout:
             assert memory.peek(("x", "w")) == 1
 
 
-class TestWrBatchFacade:
-    def _setup(self):
-        regions = [
-            RegionSpec("buf", ("buf",), Permission.swmr(0, range(3))),
-            RegionSpec("shared", ("shared",), Permission.open(range(3))),
-        ]
-        kernel = make_kernel(3, 2, regions=regions)
-        nic = RdmaNic(env_of(kernel, 0))
-        pd = nic.alloc_pd()
-        qp = nic.create_qp(pd, ProcessId(1))
-        return kernel, nic, pd, qp
-
-    def test_finish_rings_one_doorbell(self):
-        kernel, nic, pd, qp = self._setup()
-        mr = pd.register(0, "shared", ("shared",), access="read-write")
-
-        def gen():
-            batch = nic.begin_batch(qp)
-            batch.post_write(mr, ("shared", "a"), 1)
-            batch.post_write(mr, ("shared", "b"), 2)
-            batch.post_read(mr, ("shared", "a"))
-            result = yield from batch.finish()
-            return (env_now(), result)
-
-        def env_now():
-            return nic.env.now
-
-        task = run_single(kernel, 0, gen())
-        now, result = task.result
-        assert now == 2.0  # three WRs, one completion, one round
-        assert result.ok and result.value[2] == 1
-        assert kernel.memories[0].counts.batches == 1
-
-    def test_empty_chain_rejected(self):
-        kernel, nic, pd, qp = self._setup()
-        with pytest.raises(ValueError):
-            list(nic.begin_batch(qp).finish())
-
-    def test_chain_may_not_span_memories(self):
-        kernel, nic, pd, qp = self._setup()
-        mr0 = pd.register(0, "shared", ("shared",), access="read-write")
-        mr1 = pd.register(1, "shared", ("shared",), access="read-write")
-        batch = nic.begin_batch(qp)
-        batch.post_write(mr0, ("shared", "a"), 1)
-        with pytest.raises(PermissionError_):
-            batch.post_write(mr1, ("shared", "b"), 2)
-
-    def test_access_level_checked_at_post_time(self):
-        kernel, nic, pd, qp = self._setup()
-        mr = pd.register(0, "shared", ("shared",), access="read")
-        batch = nic.begin_batch(qp)
-        with pytest.raises(PermissionError_):
-            batch.post_write(mr, ("shared", "a"), 1)
-
-    def test_read_array_wr(self):
-        kernel, nic, pd, qp = self._setup()
-        mr = pd.register(0, "shared", ("shared",), access="read-write")
-
-        def gen():
-            setup = nic.begin_batch(qp)
-            setup.post_write(mr, ("shared", "a"), 1).post_write(
-                mr, ("shared", "b"), 2
-            )
-            yield from setup.finish()
-            batch = nic.begin_batch(qp).post_read_array(mr)
-            result = yield from batch.finish()
-            return result.value[0]
-
-        task = run_single(kernel, 0, gen())
-        assert task.result == {("shared", "a"): 1, ("shared", "b"): 2}
-
-
 class TestBatchedChaosDeterminism:
     """Run-digest determinism of a batched quorum-read chaos run: the
     fused chains and single-completion fan-outs must land in the schedule
@@ -366,34 +287,3 @@ class TestBatchedChaosDeterminism:
         assert first_report.completed_requests == 24
         assert first_report.completed_requests == second_report.completed_requests
         assert run_digest(first.kernel) == run_digest(second.kernel)
-
-    def test_batched_and_classic_reach_the_same_state(self):
-        """batch_chains is a mechanism switch, not a behaviour switch: the
-        committed stores must agree with the classic per-op run."""
-        from repro.shard import ClosedLoopClient, ShardConfig, ShardedKV
-        from repro.shard.workload import UniformKeys, YCSB_A
-
-        def run(batch_chains: bool):
-            service = ShardedKV(
-                ShardConfig(
-                    n_shards=2,
-                    batch_max=4,
-                    seed=7,
-                    batch_chains=batch_chains,
-                    deadline=100_000.0,
-                )
-            )
-            clients = [
-                ClosedLoopClient(
-                    client_id=i, n_ops=4, keys=UniformKeys(16), mix=YCSB_A
-                )
-                for i in range(6)
-            ]
-            report = service.run_workload(clients)
-            assert report.ok
-            return {
-                shard: dict(service.snapshot(shard))
-                for shard in range(service.config.n_shards)
-            }
-
-        assert run(batch_chains=True) == run(batch_chains=False)

@@ -30,5 +30,4 @@ def test_examples_exist():
         "replicated_kv",
         "byzantine_ledger",
         "mixed_failover",
-        "rdma_facade_tour",
     } <= names

@@ -17,11 +17,6 @@ The contract under test (see ``repro.sim.parallel``):
 * **ring-aware packing** — arc fractions sum to 1, LPT placement is a
   pure function of the weights, and the epoch-activation hook lets a
   split reweight partitions at the cutover instant.
-
-Satellite: the classic (``batch_chains=False``) quorum read's watermark
-write-back rides the entry-fetch chain — an unconfirmed read costs the
-same two memory rounds as a confirmed one and still leaves the watermark
-durable at a majority.
 """
 
 import pytest
@@ -34,7 +29,6 @@ from repro import (
     SplitShard,
     UniformKeys,
 )
-from repro.consensus.probes import watermark_key
 from repro.mem.layout import MemoryLayout
 from repro.shard.gateway import (
     GATEWAY_TOPIC,
@@ -50,11 +44,9 @@ from repro.shard.partitioner import HashRing, WorkerAssignment, arc_fractions
 from repro.sim.environment import ProcessEnv
 from repro.sim.kernel import EV_DELIVER, Kernel, SimConfig
 from repro.sim.parallel import Cell, FabricPort, ParallelKernel
-from repro.smr.kv import KVCommand, KVStateMachine
-from repro.smr.log import ReplicatedLog, SmrConfig, smr_regions, smr_rx_regions
 from repro.net.messages import Envelope
 from repro.obs import run_digest
-from repro.types import BOTTOM, ProcessId
+from repro.types import ProcessId
 
 
 def bare_kernel(n_processes=1, seed=0):
@@ -436,76 +428,3 @@ class TestGatewayDedup:
         # replies counts proxy completions (put + get); the done-table
         # replay re-posts the stored result without running a proxy
         assert gateway_state["live"]["replies"] == 2
-
-
-# ----------------------------------------------------------------------
-# satellite: fused watermark write-back on the classic quorum read
-# ----------------------------------------------------------------------
-class TestFusedWatermarkWriteBack:
-    def _committed_cluster(self, config):
-        """A bare 3x3 kernel whose leader committed slots 0..2 classic."""
-        kernel = Kernel(
-            SimConfig(n_processes=3, n_memories=3, seed=1),
-            MemoryLayout(smr_regions(3) + smr_rx_regions(3)),
-        )
-        envs = {p: ProcessEnv(kernel, ProcessId(p)) for p in range(3)}
-        machine = KVStateMachine()
-        log = ReplicatedLog(
-            envs[0], machine.apply, config=config, leader_fn=lambda: 0
-        )
-
-        def leader():
-            for slot in range(3):
-                yield from log.propose(slot, KVCommand("put", f"k{slot}", slot))
-
-        kernel.spawn(0, "leader", leader())
-        kernel.run(until=1_000.0)
-        assert log.applied_upto == 2
-        return kernel, envs, log
-
-    def test_unconfirmed_read_installs_the_watermark_in_two_rounds(self):
-        config = SmrConfig(batch_chains=False, publish_watermark=True)
-        kernel, envs, log = self._committed_cluster(config)
-        rx = log.rx_region
-        leader_register = watermark_key(rx, 0)
-        holders = [
-            m for m in kernel.memories if m.peek(leader_register) == 2
-        ]
-        assert len(holders) >= 2, "classic publish must reach a majority"
-        # strip the register down to a single memory: every quorum view
-        # now sees the max watermark unconfirmed (minority residue)
-        for memory in holders[1:]:
-            del memory.registers[tuple(leader_register)]
-
-        elapsed = {}
-        applied = {1: [], 2: []}
-
-        def reader(pid):
-            reader_log = ReplicatedLog(
-                envs[pid],
-                lambda slot, cmd, pid=pid: applied[pid].append((slot, cmd)),
-                config=config,
-                leader_fn=lambda: 0,
-            )
-            started = envs[pid].now
-            result = yield from reader_log.quorum_read()
-            elapsed[pid] = envs[pid].now - started
-            assert result == 2
-
-        kernel.spawn(2, "unconfirmed-reader", reader(2))
-        kernel.run(until=2_000.0)
-        assert [slot for slot, _ in applied[2]] == [0, 1, 2]
-        # the write-back rode the entry fetch: the reader's own register
-        # is durable at a majority, with no third round issued
-        own = watermark_key(rx, 2)
-        durable = sum(1 for m in kernel.memories if m.peek(own) == 2)
-        assert durable >= 2
-
-        # a second lagging reader now finds the watermark confirmed —
-        # same virtual cost, and no write-back of its own
-        kernel.spawn(1, "confirmed-reader", reader(1))
-        kernel.run(until=3_000.0)
-        assert [slot for slot, _ in applied[1]] == [0, 1, 2]
-        assert all(m.peek(watermark_key(rx, 1)) is BOTTOM for m in kernel.memories)
-        # the fused write-back is free: unconfirmed == confirmed latency
-        assert elapsed[2] == elapsed[1]

@@ -17,6 +17,7 @@ Layer by layer:
 import pytest
 
 from repro import FaultScript
+from repro.consensus.probes import watermark_key
 from repro.errors import ConfigurationError, StalenessViolation
 from repro.mem.layout import MemoryLayout
 from repro.mem.memory import Memory
@@ -42,7 +43,12 @@ from repro.shard import (
     ZipfianKeys,
 )
 from repro.shard.service import shard_region
-from repro.types import MemoryId, OpStatus, ProcessId
+from repro.sim.environment import ProcessEnv
+from repro.sim.kernel import Kernel, SimConfig
+from repro.sim.latency import JitteredSynchrony, NominalLatency
+from repro.smr.kv import KVCommand, KVStateMachine
+from repro.smr.log import ReplicatedLog, SmrConfig, smr_regions, smr_rx_regions
+from repro.types import BOTTOM, MemoryId, OpStatus, ProcessId
 
 P1, P2, P3 = ProcessId(0), ProcessId(1), ProcessId(2)
 
@@ -225,6 +231,70 @@ class TestGrantProbe:
         kernel.spawn(0, "probe-lost", probe_task("lost", leader))
         kernel.run(until=300.0)
         assert outcomes["lost"] is False
+
+
+# ----------------------------------------------------------------------
+# smr: an unconfirmed watermark is never served
+# ----------------------------------------------------------------------
+class TestUnconfirmedWatermark:
+    """A max watermark that no single writer's register holds at a
+    majority (a failed phase-2 chain's minority residue) is neither
+    served nor written back — on the fused 1-round read (FIFO latency)
+    and on the sequential read (non-FIFO latency) alike."""
+
+    @pytest.mark.parametrize(
+        "latency, fused",
+        [(NominalLatency(), True), (JitteredSynchrony(), False)],
+        ids=["fused", "sequential"],
+    )
+    def test_unconfirmed_watermark_is_not_served(self, latency, fused):
+        kernel = Kernel(
+            SimConfig(n_processes=3, n_memories=3, seed=1, latency=latency),
+            MemoryLayout(smr_regions(3) + smr_rx_regions(3)),
+        )
+        assert kernel.fifo_memory_ops is fused
+        config = SmrConfig(publish_watermark=True)
+        leader_log = ReplicatedLog(
+            ProcessEnv(kernel, P1), KVStateMachine().apply, config=config,
+            leader_fn=lambda: 0,
+        )
+
+        def leader():
+            for slot in range(3):
+                yield from leader_log.propose(
+                    slot, KVCommand("put", f"k{slot}", slot)
+                )
+
+        kernel.spawn(P1, "leader", leader())
+        kernel.run(until=1_000.0)
+        assert leader_log.applied_upto == 2
+        rx = leader_log.rx_region
+        leader_register = watermark_key(rx, 0)
+        holders = [m for m in kernel.memories if m.peek(leader_register) == 2]
+        assert len(holders) >= 2
+        # strip the register down to one memory: every quorum view now
+        # sees the max watermark unconfirmed
+        for memory in holders[1:]:
+            del memory.registers[tuple(leader_register)]
+
+        applied = []
+        reader_log = ReplicatedLog(
+            ProcessEnv(kernel, P3),
+            lambda slot, cmd: applied.append(slot),
+            config=config,
+            leader_fn=lambda: 0,
+        )
+        outcome = {}
+
+        def reader():
+            outcome["result"] = yield from reader_log.quorum_read()
+
+        kernel.spawn(P3, "reader", reader())
+        kernel.run(until=2_000.0)
+        assert "result" in outcome and outcome["result"] is None
+        assert applied == []
+        own = watermark_key(rx, 2)
+        assert all(m.peek(own) is BOTTOM for m in kernel.memories)
 
 
 # ----------------------------------------------------------------------
